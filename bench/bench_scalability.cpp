@@ -5,8 +5,14 @@
 // for two simulated minutes. We sweep node count and reconciliation
 // mode and report: convergence (did every replica end identical),
 // gossip bytes per node per committed transaction, DAG growth and
-// radio energy — the numbers a deployment engineer would ask for.
+// radio energy — the numbers a deployment engineer would ask for —
+// plus each configuration's host wall time (report-only: it depends on
+// the machine, so nothing gates on it).
+#include <chrono>
 #include <cstdio>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "bench_common.h"
 #include "node/cluster.h"
@@ -26,6 +32,7 @@ struct Result {
 };
 
 Result Run(int n, recon::ReconConfig::Mode mode) {
+  const auto start = std::chrono::steady_clock::now();
   sim::UnitDiskTopology::Params p;
   p.field_size = 500;
   p.radio_range = 400;  // dense enough to stay connected at every n
@@ -69,6 +76,9 @@ Result Run(int n, recon::ReconConfig::Mode mode) {
   result.mj_per_node = mj / n;
   result.blocks = cluster.node(0).dag().Size();
   benchio::Collector().Merge(cluster.AggregateSnapshot());
+  result.wall_ms = std::chrono::duration<double, std::milli>(
+                       std::chrono::steady_clock::now() - start)
+                       .count();
   return result;
 }
 
@@ -77,6 +87,7 @@ const char* ModeName(recon::ReconConfig::Mode mode) {
     case recon::ReconConfig::Mode::kBlockPush: return "block-push";
     case recon::ReconConfig::Mode::kHashFirst: return "hash-first";
     case recon::ReconConfig::Mode::kBloom: return "bloom";
+    case recon::ReconConfig::Mode::kSetDiff: return "setdiff";
   }
   return "?";
 }
@@ -85,21 +96,28 @@ const char* ModeName(recon::ReconConfig::Mode mode) {
 
 int main() {
   std::printf("E14: sustained load (1 tx/node/5s for 120s, unit-disk)\n");
-  std::printf("%-6s %-11s | %-6s %-9s | %14s | %10s | %8s\n", "n", "mode",
-              "conv", "committed", "gossip B/node/tx", "mJ/node", "blocks");
+  std::printf("%-6s %-11s | %-6s %-9s | %14s | %10s | %8s | %10s\n", "n",
+              "mode", "conv", "committed", "gossip B/node/tx", "mJ/node",
+              "blocks", "wall ms");
+  std::vector<telemetry::BenchValue> walls;
   for (const int n : {4, 8, 16, 32}) {
     for (const auto mode : {recon::ReconConfig::Mode::kBlockPush,
-                            recon::ReconConfig::Mode::kBloom}) {
+                            recon::ReconConfig::Mode::kBloom,
+                            recon::ReconConfig::Mode::kSetDiff}) {
       const Result r = Run(n, mode);
-      std::printf("%-6d %-11s | %-6s %-9d | %14.0f | %10.1f | %8zu\n", n,
-                  ModeName(mode), r.converged ? "yes" : "NO", r.committed,
-                  r.bytes_per_node_tx, r.mj_per_node, r.blocks);
+      std::printf("%-6d %-11s | %-6s %-9d | %14.0f | %10.1f | %8zu | %10.0f\n",
+                  n, ModeName(mode), r.converged ? "yes" : "NO", r.committed,
+                  r.bytes_per_node_tx, r.mj_per_node, r.blocks, r.wall_ms);
+      walls.push_back({"scalability.n=" + std::to_string(n) +
+                           ".mode=" + ModeName(mode) + ".wall_ms",
+                       r.wall_ms});
     }
   }
   std::printf(
       "\nExpected shape: convergence holds at every size; per-transaction\n"
       "gossip cost grows mildly with n (each block crosses more links);\n"
-      "bloom mode trims the steady-state reconciliation bytes.\n");
-  benchio::WriteBench("scalability");
+      "bloom mode trims the steady-state reconciliation bytes; the wall\n"
+      "column is host time per configuration (report-only).\n");
+  benchio::WriteBench("scalability", std::move(walls));
   return 0;
 }

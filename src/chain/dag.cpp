@@ -25,7 +25,35 @@ Dag::Dag(Block genesis) {
   stored_count_ = 1;
   stored_bytes_ = e.encoded_size;
   frontier_.insert(genesis_hash_);
-  entries_.emplace(genesis_hash_, std::move(e));
+  const auto it = entries_.emplace(genesis_hash_, std::move(e)).first;
+  insertion_order_.push_back(&it->first);
+}
+
+Dag::Dag(const Dag& other)
+    : entries_(other.entries_),
+      frontier_(other.frontier_),
+      genesis_hash_(other.genesis_hash_),
+      stored_count_(other.stored_count_),
+      stored_bytes_(other.stored_bytes_) {
+  insertion_order_.reserve(other.insertion_order_.size());
+  for (const BlockHash* h : other.insertion_order_) {
+    insertion_order_.push_back(&entries_.find(*h)->first);
+  }
+}
+
+Dag& Dag::operator=(const Dag& other) {
+  if (this != &other) *this = Dag(other);
+  return *this;
+}
+
+void Dag::Link(const BlockHash& h, Entry e) {
+  for (const BlockHash& p : e.parents) {
+    entries_[p].children.push_back(h);
+    frontier_.erase(p);
+  }
+  frontier_.insert(h);
+  const auto it = entries_.emplace(h, std::move(e)).first;
+  insertion_order_.push_back(&it->first);
 }
 
 const Dag::Entry* Dag::FindEntry(const BlockHash& h) const {
@@ -66,15 +94,9 @@ Status Dag::Insert(Block block) {
   e.timestamp = block.header().timestamp_ms;
   e.encoded_size = block.EncodedSize();
   e.block = std::move(block);
-
-  for (const BlockHash& p : e.parents) {
-    entries_[p].children.push_back(h);
-    frontier_.erase(p);
-  }
-  frontier_.insert(h);
   stored_count_ += 1;
   stored_bytes_ += e.encoded_size;
-  entries_.emplace(h, std::move(e));
+  Link(h, std::move(e));
   return Status::Ok();
 }
 
@@ -262,12 +284,7 @@ Status Dag::InsertEvictedStub(const BlockHash& hash,
   e.creator = std::move(creator);
   e.timestamp = timestamp_ms;
   e.encoded_size = encoded_size;
-  for (const BlockHash& p : e.parents) {
-    entries_[p].children.push_back(hash);
-    frontier_.erase(p);
-  }
-  frontier_.insert(hash);
-  entries_.emplace(hash, std::move(e));
+  Link(hash, std::move(e));
   return Status::Ok();
 }
 

@@ -45,6 +45,13 @@ class Dag {
   // A DAG is born from its genesis block (the unique sink).
   explicit Dag(Block genesis);
 
+  // Copies rebind the insertion order to the new map's keys; moves
+  // keep the map's nodes, so the order's pointers stay valid.
+  Dag(const Dag& other);
+  Dag& operator=(const Dag& other);
+  Dag(Dag&&) = default;
+  Dag& operator=(Dag&&) = default;
+
   const BlockHash& genesis_hash() const { return genesis_hash_; }
 
   Presence PresenceOf(const BlockHash& h) const;
@@ -91,6 +98,18 @@ class Dag {
   // Deterministic topological order (parents before children; ties
   // broken by block hash). The CRDT state machine replays this.
   std::vector<BlockHash> TopologicalOrder() const;
+
+  // Every known hash (stored and evicted stubs), each once, in the
+  // order this replica inserted it. Parents must be present to
+  // insert, so parents precede children — but two replicas holding
+  // the same DAG may hold it in different insertion orders. Use this
+  // only for order-insensitive folds (RangeDigest, Iblt, Bloom filter
+  // inserts); anything that emits blocks or depends on their order
+  // uses TopologicalOrder(). O(1): the entries point at the map's own
+  // (node-stable) keys, valid until the Dag is destroyed.
+  const std::vector<const BlockHash*>& InsertionOrder() const {
+    return insertion_order_;
+  }
 
   // True iff `ancestor` is a strict ancestor of `descendant` or equal
   // to it when `include_self` (default excludes self).
@@ -150,8 +169,11 @@ class Dag {
   };
 
   const Entry* FindEntry(const BlockHash& h) const;
+  // Adds a structurally checked entry and records its insertion.
+  void Link(const BlockHash& h, Entry e);
 
   std::unordered_map<BlockHash, Entry, BlockHashHasher> entries_;
+  std::vector<const BlockHash*> insertion_order_;  // keys of entries_
   std::set<BlockHash> frontier_;
   BlockHash genesis_hash_{};
   std::size_t stored_count_ = 0;

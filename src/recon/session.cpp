@@ -126,8 +126,8 @@ Bytes InitiatorSession::MakeFrontierRequest() {
 Bytes InitiatorSession::MakeBloomRequest() {
   const chain::Dag& dag = host_->dag();
   BloomFilter filter = BloomFilter::ForExpectedItems(dag.Size());
-  for (const chain::BlockHash& h : dag.TopologicalOrder()) {
-    filter.Insert(ByteSpan(h.data(), h.size()));
+  for (const chain::BlockHash* h : dag.InsertionOrder()) {
+    filter.Insert(ByteSpan(h->data(), h->size()));
   }
   FrontierRequest req;
   req.level = 1;
@@ -146,8 +146,8 @@ Bytes InitiatorSession::MakeDiffProbe() {
   probe.genesis = host_->dag().genesis_hash();
   probe.frontier_digest = host_->dag().FrontierDigest();
   probe.requested_cells = diff_cells_requested_;
-  for (const chain::BlockHash& h : host_->dag().TopologicalOrder()) {
-    probe.digest.Insert(h);
+  for (const chain::BlockHash* h : host_->dag().InsertionOrder()) {
+    probe.digest.Insert(*h);
   }
   diff_phase_ = DiffPhase::kAwaitSketch;
   stats_.rounds += 1;
@@ -389,8 +389,8 @@ Status InitiatorSession::HandleDiffSketch(ByteSpan data,
   // +1 cells are peer-only keys (fetch), -1 cells are ours-only
   // (report so the responder can expect the push-back).
   setdiff::Iblt local(sketch.sketch.cell_count(), sketch.seed);
-  for (const chain::BlockHash& h : host_->dag().TopologicalOrder()) {
-    local.Insert(h);
+  for (const chain::BlockHash* h : host_->dag().InsertionOrder()) {
+    local.Insert(*h);
   }
   setdiff::Iblt diff = sketch.sketch;
   VEGVISIR_RETURN_IF_ERROR(diff.Subtract(local));
@@ -600,13 +600,12 @@ Status ResponderSession::HandleDiffProbe(ByteSpan data,
   metrics_.rounds.Inc();
 
   const chain::Dag& dag = host_->dag();
-  const std::vector<chain::BlockHash> all = dag.TopologicalOrder();
 
   // Size the sketch from the digest delta estimate unless the probe
   // asks for a specific (escalated) cell count.
-  std::uint64_t estimate = all.size();  // defensive: shape-mismatch case
+  std::uint64_t estimate = dag.Size();  // defensive: shape-mismatch case
   setdiff::RangeDigest mine;
-  for (const chain::BlockHash& h : all) mine.Insert(h);
+  for (const chain::BlockHash* h : dag.InsertionOrder()) mine.Insert(*h);
   if (auto est = setdiff::RangeDigest::EstimateDelta(probe.digest, mine);
       est.ok()) {
     estimate = *est;
@@ -622,11 +621,13 @@ Status ResponderSession::HandleDiffProbe(ByteSpan data,
   DiffSketch sketch;
   sketch.genesis = dag.genesis_hash();
   sketch.seed = setdiff::SeedForCells(cells);
-  sketch.set_size = all.size();
+  sketch.set_size = dag.Size();
   sketch.estimated_delta = estimate;
   sketch.frontier = dag.Frontier();
   sketch.sketch = setdiff::Iblt(cells, sketch.seed);
-  for (const chain::BlockHash& h : all) sketch.sketch.Insert(h);
+  for (const chain::BlockHash* h : dag.InsertionOrder()) {
+    sketch.sketch.Insert(*h);
+  }
 
   Bytes encoded = EncodeMessage(sketch);
   metrics_.setdiff_sketches_sent.Inc();

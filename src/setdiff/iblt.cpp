@@ -25,6 +25,20 @@ std::uint64_t Lane(const chain::BlockHash& key, std::size_t lane) {
   return v;
 }
 
+// XOR-folds `key` into `sum` as four 64-bit words (XOR is bytewise, so
+// the bytes match a byte-by-byte fold). `key` is taken by value: a
+// reference might alias `sum`, which would force the compiler into one
+// load and store per byte.
+void XorInto(chain::BlockHash* sum, const chain::BlockHash key) {
+  std::uint64_t acc[4];
+  std::uint64_t add[4];
+  static_assert(sizeof(acc) == sizeof(chain::BlockHash));
+  std::memcpy(acc, sum->data(), sizeof(acc));
+  std::memcpy(add, key.data(), sizeof(add));
+  for (std::size_t i = 0; i < 4; ++i) acc[i] ^= add[i];
+  std::memcpy(sum->data(), acc, sizeof(acc));
+}
+
 }  // namespace
 
 bool IbltCell::IsZero() const {
@@ -79,7 +93,7 @@ void Iblt::Apply(const chain::BlockHash& key, std::int64_t delta) {
   for (std::size_t i = 0; i < kIbltHashCount; ++i) {
     IbltCell& cell = cells_[pos[i]];
     cell.count += delta;
-    for (std::size_t b = 0; b < key.size(); ++b) cell.key_sum[b] ^= key[b];
+    XorInto(&cell.key_sum, key);
     cell.check_sum ^= check;
   }
 }
@@ -95,9 +109,7 @@ Status Iblt::Subtract(const Iblt& other) {
     IbltCell& a = cells_[i];
     const IbltCell& b = other.cells_[i];
     a.count -= b.count;
-    for (std::size_t j = 0; j < a.key_sum.size(); ++j) {
-      a.key_sum[j] ^= b.key_sum[j];
-    }
+    XorInto(&a.key_sum, b.key_sum);
     a.check_sum ^= b.check_sum;
   }
   return Status::Ok();

@@ -161,6 +161,8 @@ inline constexpr std::string_view kCounters[] = {
     "support.bytes_reclaimed",
     "support.evictions",
     "support.refetches",
+    // ---- snapshot aggregation (src/telemetry) -----------------------
+    "telemetry.merge_conflicts",  // kMergeConflictsCounter
 };
 
 inline constexpr std::string_view kGauges[] = {

@@ -104,7 +104,10 @@ Snapshot Snapshot::DiffSince(const Snapshot& earlier) const {
 
 void Snapshot::Merge(const Snapshot& other) {
   for (const auto& [name, value] : other.counters) counters[name] += value;
-  for (const auto& [name, value] : other.gauges) gauges[name] += value;
+  for (const auto& [name, value] : other.gauges) {
+    const auto [it, fresh] = gauges.emplace(name, value);
+    if (!fresh) it->second = std::max(it->second, value);
+  }
   for (const auto& [name, data] : other.histograms) {
     const auto it = histograms.find(name);
     if (it == histograms.end()) {
@@ -112,10 +115,12 @@ void Snapshot::Merge(const Snapshot& other) {
       continue;
     }
     HistogramData& mine = it->second;
-    if (mine.bounds == data.bounds) {
-      for (std::size_t i = 0; i < mine.counts.size(); ++i) {
-        mine.counts[i] += data.counts[i];
-      }
+    if (mine.bounds != data.bounds) {
+      counters[kMergeConflictsCounter] += 1;
+      continue;
+    }
+    for (std::size_t i = 0; i < mine.counts.size(); ++i) {
+      mine.counts[i] += data.counts[i];
     }
     mine.count += data.count;
     mine.sum += data.sum;

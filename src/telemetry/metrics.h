@@ -107,6 +107,10 @@ class Histogram {
   HistogramData* cell_ = nullptr;
 };
 
+// Counter a Snapshot::Merge bumps once per histogram it had to skip
+// because the two sides' bucket bounds differ.
+inline constexpr char kMergeConflictsCounter[] = "telemetry.merge_conflicts";
+
 // A point-in-time copy of every metric in a registry. Plain data:
 // copyable, mergeable, diffable — the unit the exporters and the
 // bench output consume.
@@ -120,10 +124,13 @@ struct Snapshot {
   // before/after helper for scoped measurements.
   Snapshot DiffSince(const Snapshot& earlier) const;
 
-  // Sums `other` into this snapshot: counters and histogram buckets
-  // add; gauges add too (the useful reading for sizes and totals
-  // when aggregating a cluster). Histograms with mismatched bucket
-  // bounds keep the left-hand side's shape and only add count/sum.
+  // Folds `other` into this snapshot: counters and histograms add;
+  // a gauge takes the maximum of the two readings (a gauge is a level,
+  // not a flow: eight 1-thread runs still read exec.threads = 1). A
+  // histogram whose bucket bounds differ from this side's is skipped
+  // whole — buckets, count and sum — so every histogram keeps
+  // count == sum of its buckets, and each skip adds one to the
+  // kMergeConflictsCounter counter.
   void Merge(const Snapshot& other);
 
   // Sum of every counter whose name starts with `prefix` (e.g.

@@ -12,6 +12,7 @@
 
 #include "chain/genesis.h"
 #include "crypto/drbg.h"
+#include "crypto/sha256.h"
 #include "node/node.h"
 #include "recon/messages.h"
 #include "recon/session.h"
@@ -19,6 +20,7 @@
 #include "serial/limits.h"
 #include "setdiff/digest.h"
 #include "setdiff/iblt.h"
+#include "util/bytes.h"
 #include "util/rng.h"
 
 namespace vegvisir::setdiff {
@@ -35,6 +37,11 @@ BlockHash HashFromRng(Rng* rng) {
     }
   }
   return h;
+}
+
+std::string Sha256Hex(ByteSpan data) {
+  const crypto::Sha256Digest d = crypto::Sha256::Hash(data);
+  return ToHex(ByteSpan(d.data(), d.size()));
 }
 
 // ------------------------------------------------------------- IBLT
@@ -185,6 +192,33 @@ TEST(IbltTest, SingleKeyAlwaysPeelsAtAnySize) {
       EXPECT_TRUE(minus.empty());
     }
   }
+}
+
+// Golden pins: the wire bytes of both folds over a fixed seeded key
+// set. Any change to the cell kernels (Apply/Subtract word layout) or
+// to the fold order that alters a single byte fails here.
+TEST(IbltTest, EncodeMatchesGolden) {
+  Rng rng(2024);
+  Iblt t(CellsForDelta(40, serial::limits::kMaxIbltCells), SeedForCells(88));
+  Iblt other(t.cell_count(), t.seed());
+  for (int i = 0; i < 500; ++i) t.Insert(HashFromRng(&rng));
+  for (int i = 0; i < 25; ++i) t.Erase(HashFromRng(&rng));
+  for (int i = 0; i < 60; ++i) other.Insert(HashFromRng(&rng));
+  ASSERT_TRUE(t.Subtract(other).ok());
+  serial::Writer w;
+  t.Encode(&w);
+  EXPECT_EQ(Sha256Hex(w.buffer()),
+            "47960ea8b5cc0e3d955059728d971dadd2dc7301f6201ed1acede8c03835d621");
+}
+
+TEST(RangeDigestTest, EncodeMatchesGolden) {
+  Rng rng(2025);
+  RangeDigest d;
+  for (int i = 0; i < 1000; ++i) d.Insert(HashFromRng(&rng));
+  serial::Writer w;
+  d.Encode(&w);
+  EXPECT_EQ(Sha256Hex(w.buffer()),
+            "c7bdfc658480b0154683d0245f42c3c6130c3bebf01a52738f66f9719582216a");
 }
 
 // ----------------------------------------------------- range digest
@@ -468,6 +502,52 @@ TEST(SetdiffSessionTest, MutualDivergenceWithPushBack) {
   EXPECT_TRUE(SameBlocks(*a, *b));
   EXPECT_EQ(stats.blocks_received, 6u);
   EXPECT_EQ(stats.blocks_pushed, 4u);
+}
+
+// Golden pin over a whole negotiation on a fixed 300-block history:
+// the initiator's DiffProbe, the responder's DiffSketch, and the
+// initiator's reply to it (DiffResult + BlockRequest). Both sides
+// fold their whole hash set, so this pins that the fold's iteration
+// order never leaks into the wire form.
+TEST(SetdiffSessionTest, NegotiationBytesMatchGolden) {
+  Rig rig;
+  auto behind = rig.MakeNode();
+  auto ahead = rig.MakeNode();
+  rig.Diverge(behind.get(), ahead.get(), 300, 5);
+  recon::ReconConfig cfg;
+  cfg.mode = recon::ReconConfig::Mode::kSetDiff;
+  recon::InitiatorSession initiator(behind.get(), cfg);
+  recon::ResponderSession responder(ahead.get(), cfg);
+
+  const Bytes probe = initiator.Start();
+  std::vector<Bytes> sketch;
+  ASSERT_TRUE(responder.OnMessage(probe, &sketch).ok());
+  ASSERT_EQ(sketch.size(), 1u);
+  std::vector<Bytes> reply;
+  ASSERT_TRUE(initiator.OnMessage(sketch[0], &reply).ok());
+  ASSERT_EQ(reply.size(), 2u);  // DiffResult, BlockRequest
+  Bytes transcript = reply[0];
+  transcript.insert(transcript.end(), reply[1].begin(), reply[1].end());
+
+  EXPECT_EQ(Sha256Hex(probe),
+            "5e006d51828733395fc809cbf04f7afa979d7ba03344be9316a88b9bf943be2b");
+  EXPECT_EQ(Sha256Hex(sketch[0]),
+            "320d9207733bc6b52cc110f97099952ecae7af8531c23617756ec34ddefcbb1a");
+  EXPECT_EQ(Sha256Hex(transcript),
+            "179a76b3c471cab9b0cf185e748a914196980b2015bea5555c064075c310e720");
+}
+
+// The Bloom summary request folds the whole set too; pin its bytes.
+TEST(SetdiffSessionTest, BloomRequestBytesMatchGolden) {
+  Rig rig;
+  auto behind = rig.MakeNode();
+  auto ahead = rig.MakeNode();
+  rig.Diverge(behind.get(), ahead.get(), 300, 5);
+  recon::ReconConfig cfg;
+  cfg.mode = recon::ReconConfig::Mode::kBloom;
+  recon::InitiatorSession initiator(behind.get(), cfg);
+  EXPECT_EQ(Sha256Hex(initiator.Start()),
+            "c8750d26f35be98793e35995eaa518b2b956337bc72aff989df8cb0d4e9034d9");
 }
 
 // Version gating, initiator side: a node configured for setdiff but

@@ -7,6 +7,7 @@
 
 #include "telemetry/bench_io.h"
 #include "telemetry/export.h"
+#include "telemetry/metric_names.h"
 #include "telemetry/metrics.h"
 #include "telemetry/telemetry.h"
 #include "telemetry/trace.h"
@@ -199,27 +200,58 @@ TEST(SnapshotTest, MergeAddsAcrossRegistries) {
   merged.Merge(b.TakeSnapshot());
   EXPECT_EQ(merged.counters.at("c"), 3u);
   EXPECT_EQ(merged.counters.at("only.b"), 5u);
-  // Gauges add under Merge: the cluster-total reading.
-  EXPECT_DOUBLE_EQ(merged.gauges.at("g"), 3.5);
+  // Gauges are levels, not flows: Merge keeps the larger reading.
+  EXPECT_DOUBLE_EQ(merged.gauges.at("g"), 2.0);
   const HistogramData& hd = merged.histograms.at("h");
   EXPECT_EQ(hd.count, 2u);
   EXPECT_EQ(hd.counts[0], 1u);
   EXPECT_EQ(hd.counts[1], 1u);
 }
 
-TEST(SnapshotTest, MergeMismatchedHistogramBoundsAddsTotalsOnly) {
+// Eight single-thread runs merged must still read one thread; a sum
+// would report eight. Gauges only the right-hand side has are copied.
+TEST(SnapshotTest, MergeKeepsGaugeMaximum) {
+  Snapshot merged;
+  for (int run = 0; run < 8; ++run) {
+    MetricsRegistry r;
+    r.GetGauge("exec.threads").Set(1);
+    r.GetGauge("node.quarantine_size").Set(run == 3 ? 5 : 0);
+    merged.Merge(r.TakeSnapshot());
+  }
+  EXPECT_DOUBLE_EQ(merged.gauges.at("exec.threads"), 1.0);
+  EXPECT_DOUBLE_EQ(merged.gauges.at("node.quarantine_size"), 5.0);
+
+  MetricsRegistry negative;
+  negative.GetGauge("only.rhs").Set(-2.5);
+  merged.Merge(negative.TakeSnapshot());
+  EXPECT_DOUBLE_EQ(merged.gauges.at("only.rhs"), -2.5);
+}
+
+// A histogram whose bounds disagree is skipped whole and counted, so
+// every merged histogram keeps count == sum of its buckets.
+TEST(SnapshotTest, MergeMismatchedHistogramBoundsSkipsAndCounts) {
   MetricsRegistry a;
   MetricsRegistry b;
   a.GetHistogram("h", {1, 2}).Observe(1);
   b.GetHistogram("h", {10, 20, 30}).Observe(15);
+  b.GetHistogram("same", {1}).Observe(0.5);
 
   Snapshot merged = a.TakeSnapshot();
+  EXPECT_EQ(merged.counters.count(kMergeConflictsCounter), 0u);
+  merged.Merge(b.TakeSnapshot());
   merged.Merge(b.TakeSnapshot());
   const HistogramData& hd = merged.histograms.at("h");
   EXPECT_EQ(hd.bounds, (std::vector<double>{1, 2}));  // keeps LHS shape
-  EXPECT_EQ(hd.count, 2u);
-  EXPECT_DOUBLE_EQ(hd.sum, 16.0);
-  EXPECT_EQ(hd.counts[0], 1u);  // buckets unchanged from LHS
+  EXPECT_EQ(hd.count, 1u);
+  EXPECT_DOUBLE_EQ(hd.sum, 1.0);
+  EXPECT_EQ(merged.counters.at(kMergeConflictsCounter), 2u);
+  for (const auto& [name, data] : merged.histograms) {
+    std::uint64_t buckets = 0;
+    for (const std::uint64_t c : data.counts) buckets += c;
+    EXPECT_EQ(data.count, buckets) << name;
+  }
+  EXPECT_EQ(merged.histograms.at("same").count, 2u);
+  EXPECT_TRUE(metric_names::IsDeclaredCounter(kMergeConflictsCounter));
 }
 
 // ------------------------------------------------------------------ tracer

@@ -15,8 +15,10 @@ Taxonomy (DESIGN.md section 14):
   sources     iteration over std::unordered_map/unordered_set (bucket
               order is salt- and history-dependent), iteration over a
               pointer-keyed std::map/std::set (ordered by address),
-              reinterpret_cast of a pointer to an integer, and
-              wall-clock/rand reads outside src/sim.
+              reinterpret_cast of a pointer to an integer,
+              wall-clock/rand reads outside src/sim, and iteration
+              over chain::Dag::InsertionOrder() (parents-first, but
+              the order this replica happened to learn its blocks in).
   sinks       serializer Write* calls, hasher Update / Sha256::Hash,
               stream/printf emission, file writes, invoking a caller-
               supplied callback with a tainted argument, and returning
@@ -73,6 +75,12 @@ NONDET_CALLS = re.compile(
     r"\b(?:std\s*::\s*)?(?:chrono\s*::\s*(?:system_clock|steady_clock|"
     r"high_resolution_clock)\s*::\s*now|time|gettimeofday|clock_gettime|"
     r"rand|random_device)\s*(?:\(|\{)")
+
+# chain::Dag's insertion order is replica-specific: two replicas with
+# the same DAG learned its blocks in different orders. Folding it into
+# an order-insensitive accumulator (RangeDigest / Iblt / BloomFilter
+# Insert) is fine; streaming it anywhere is not.
+INSERTION_ORDER = re.compile(r"\bInsertionOrder\s*\(\s*\)")
 
 # Callable parameter heuristics: a parameter whose type mentions
 # std::function (or an obvious callback alias) is a caller-visible
@@ -311,6 +319,8 @@ class Analyzer:
                     for v in loop_vars(decl):
                         if base in unordered:
                             taint[v] = (unordered[base], line)
+                        elif INSERTION_ORDER.search(container):
+                            taint[v] = ("insertion-order", line)
                         elif hit:
                             # Iterating a sequence filled in
                             # nondeterministic order yields its
@@ -333,6 +343,12 @@ class Analyzer:
                     r"(?:std\s*::\s*)?u?intptr_t\s*>", flat):
                 taint[wt.norm(m.group(1))] = ("pointer-value", line)
                 fresh.add(wt.norm(m.group(1)))
+            if not fm and INSERTION_ORDER.search(flat):
+                am = re.match(
+                    r"(?:[\w:<>,\s&*]+?\s)?([\w.\->\[\]]+)\s*=[^=]", flat)
+                if am:
+                    taint[wt.norm(am.group(1))] = ("insertion-order", line)
+                    fresh.add(wt.norm(am.group(1)))
             if self.wall_clock_sources and NONDET_CALLS.search(flat):
                 am = re.match(
                     r"(?:[\w:<>,\s&*]+?\s)?([\w.\->\[\]]+)\s*=[^=]", flat)
