@@ -2,7 +2,9 @@
 //
 // Establishes the per-operation costs that the energy model
 // (sim/energy.h) abstracts: hashing throughput, Ed25519 sign/verify
-// latency, ChaCha20 sealing, DRBG generation.
+// latency and its unit costs (field multiply and square, fixed-base
+// and double-scalar multiplication), ChaCha20 sealing, DRBG
+// generation.
 #include <benchmark/benchmark.h>
 
 #include "bench_common.h"
@@ -10,6 +12,8 @@
 #include "crypto/chacha20.h"
 #include "crypto/drbg.h"
 #include "crypto/ed25519.h"
+#include "crypto/fe25519.h"
+#include "crypto/ge25519.h"
 #include "crypto/hmac.h"
 #include "crypto/sha256.h"
 #include "crypto/sha512.h"
@@ -83,6 +87,62 @@ void BM_Ed25519Verify(benchmark::State& state) {
       .Inc(static_cast<std::uint64_t>(state.iterations()));
 }
 BENCHMARK(BM_Ed25519Verify)->Arg(64)->Arg(1024);
+
+// Field elements and scalars from run-time data, so nothing folds.
+Fe RandomFe(Drbg& drbg) {
+  const Bytes b = drbg.Generate(32);
+  return FeFromBytes(b);
+}
+
+std::array<std::uint8_t, 32> RandomScalar(Drbg& drbg) {
+  std::array<std::uint8_t, 32> k;
+  drbg.Generate(k.data(), k.size());
+  k[31] &= 0x0f;  // below L
+  return k;
+}
+
+void BM_FeMul(benchmark::State& state) {
+  Drbg drbg(std::uint64_t{1});
+  Fe f = RandomFe(drbg);
+  const Fe g = RandomFe(drbg);
+  for (auto _ : state) {
+    f = FeMul(f, g);
+    benchmark::DoNotOptimize(f);
+  }
+}
+BENCHMARK(BM_FeMul);
+
+void BM_FeSquare(benchmark::State& state) {
+  Drbg drbg(std::uint64_t{2});
+  Fe f = RandomFe(drbg);
+  for (auto _ : state) {
+    f = FeSquare(f);
+    benchmark::DoNotOptimize(f);
+  }
+}
+BENCHMARK(BM_FeSquare);
+
+// [k]B, the constant-time comb behind key generation and signing.
+void BM_GeScalarMultBase(benchmark::State& state) {
+  Drbg drbg(std::uint64_t{3});
+  const auto k = RandomScalar(drbg);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(GeScalarMultBase(k));
+  }
+}
+BENCHMARK(BM_GeScalarMultBase);
+
+// [k]A + [s]B, the variable-time joint pass inside Verify.
+void BM_GeDoubleScalarMult(benchmark::State& state) {
+  Drbg drbg(std::uint64_t{4});
+  const GePoint a = GeScalarMultBase(RandomScalar(drbg));
+  const auto k = RandomScalar(drbg);
+  const auto s = RandomScalar(drbg);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(GeDoubleScalarMultVartime(a, k, s));
+  }
+}
+BENCHMARK(BM_GeDoubleScalarMult);
 
 void BM_ChaCha20(benchmark::State& state) {
   ChaCha20Key key{};

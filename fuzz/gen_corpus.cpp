@@ -20,6 +20,7 @@
 #include "chain/certificate.h"
 #include "chain/genesis.h"
 #include "crypto/ed25519.h"
+#include "crypto/ge25519.h"
 #include "node/gossip.h"
 #include "recon/messages.h"
 #include "serial/codec.h"
@@ -208,6 +209,49 @@ void EmitEnvelopeSeeds(const chain::Block& genesis) {
   WriteSeed("gossip_envelope", "seed-to-initiator.bin", to_initiator.Take());
 }
 
+// pk || sig || message triples for fuzz_ed25519_verify: honest
+// signatures plus the encodings where a fast verifier is most likely
+// to diverge from the reference (small-order, mixed-order and
+// non-canonical points, s = 0 and s = L).
+void EmitEd25519Seeds(const crypto::KeyPair& signer) {
+  auto emit = [](const std::string& name, ByteSpan pk, ByteSpan r,
+                 ByteSpan s, ByteSpan msg) {
+    Bytes out(pk.begin(), pk.end());
+    out.insert(out.end(), r.begin(), r.end());
+    out.insert(out.end(), s.begin(), s.end());
+    out.insert(out.end(), msg.begin(), msg.end());
+    WriteSeed("ed25519_verify", "seed-" + name + ".bin", out);
+  };
+  const Bytes msg = BytesOf("vegvisir block");
+  const crypto::Signature sig = signer.Sign(msg);
+  const ByteSpan pk(signer.public_key().bytes);
+  const ByteSpan r(sig.bytes.data(), 32);
+  const ByteSpan s(sig.bytes.data() + 32, 32);
+  const Bytes identity = MustFromHex(
+      "0100000000000000000000000000000000000000000000000000000000000000");
+  const Bytes order8 = MustFromHex(
+      "26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc05");
+  const Bytes y_is_p = MustFromHex(
+      "edffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f");
+  const Bytes y_is_p_plus_1 = MustFromHex(
+      "eeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f");
+  const Bytes l = MustFromHex(
+      "edd3f55c1a631258d69cf7a2def9de1400000000000000000000000000000010");
+  const Bytes zero(32, 0);
+  const auto mixed = crypto::GeCompress(
+      crypto::GeAdd(*crypto::GeDecompress(pk), *crypto::GeDecompress(order8)));
+
+  emit("honest", pk, r, s, msg);
+  emit("honest-empty-message", pk, r, s, {});
+  emit("identity-key-identity-r-s0", identity, identity, zero, msg);
+  emit("order8-key", order8, r, s, msg);
+  emit("order8-r-s0", identity, order8, zero, msg);
+  emit("noncanonical-key", y_is_p, r, s, msg);
+  emit("noncanonical-r", identity, y_is_p_plus_1, zero, msg);
+  emit("mixed-order-key", mixed, r, s, msg);
+  emit("s-equals-l", pk, r, l, msg);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -244,6 +288,7 @@ int main(int argc, char** argv) {
   EmitReconSeeds(genesis, child);
   EmitSetdiffSeeds(genesis, child);
   EmitEnvelopeSeeds(genesis);
+  EmitEd25519Seeds(owner);
 
   std::printf("corpus written under %s\n", g_root.string().c_str());
   return 0;

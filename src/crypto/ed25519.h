@@ -3,6 +3,12 @@
 // Every Vegvisir block and certificate carries one of these
 // signatures; the implementation is validated against the RFC 8032
 // test vectors in tests/crypto_test.cpp.
+//
+// Timing: KeyPair::FromSeed and KeyPair::Sign are constant-time: no
+// branch or memory index depends on the seed or anything derived from
+// it (tools/ct_sign_check checks this under valgrind memcheck). Verify
+// is variable-time, which is safe because everything it reads (key,
+// message, signature) is public.
 #pragma once
 
 #include <array>
@@ -55,7 +61,8 @@ class KeyPair {
 };
 
 // Signature verification (RFC 8032 §5.1.7): checks canonical s,
-// decompresses A and R, and tests [s]B == R + [k]A.
+// decompresses A and R (non-canonical y accepted), and tests the
+// cofactorless equation [s]B == R + [k]A.
 bool Verify(const PublicKey& public_key, ByteSpan message,
             const Signature& signature);
 

@@ -1,5 +1,6 @@
 #include "crypto/fe25519.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace vegvisir::crypto {
@@ -10,13 +11,13 @@ using u128 = unsigned __int128;
 
 constexpr u64 kMask51 = (u64{1} << 51) - 1;
 
-// p = 2^255 - 19 in radix-2^51 limbs.
-constexpr u64 kP[5] = {
-    kMask51 - 18, kMask51, kMask51, kMask51, kMask51,
-};
+// 4p = 2^257 - 76 in radix-2^51 limbs: added before subtracting so a
+// loose subtrahend can never drive a limb negative.
+constexpr u64 k4P0 = 4 * (kMask51 - 18);
+constexpr u64 k4P = 4 * kMask51;
 
-// One pass of carry propagation with the 2^255 = 19 wraparound.
-// After two passes over reduced-ish inputs, limbs are < 2^51 + tiny.
+// One pass of carry propagation with the 2^255 = 19 wraparound. From
+// limbs < 2^63 it leaves limbs 1..4 < 2^51 + 2^12 and limb 0 < 2^52.
 void CarryPass(Fe* f) {
   u64 c;
   c = f->v[0] >> 51; f->v[0] &= kMask51; f->v[1] += c;
@@ -26,15 +27,22 @@ void CarryPass(Fe* f) {
   c = f->v[4] >> 51; f->v[4] &= kMask51; f->v[0] += 19 * c;
 }
 
-void Reduce(Fe* f) {
-  CarryPass(f);
-  CarryPass(f);
-}
-
 u64 Load64Le(const std::uint8_t* p) {
   u64 v;
   std::memcpy(&v, p, 8);  // little-endian hosts only; asserted in tests
   return v;
+}
+
+// Carries the five column sums of a product into reduced limbs.
+Fe CarryProduct(u128 r0, u128 r1, u128 r2, u128 r3, u128 r4) {
+  u128 c;
+  c = r0 >> 51; r0 &= kMask51; r1 += c;
+  c = r1 >> 51; r1 &= kMask51; r2 += c;
+  c = r2 >> 51; r2 &= kMask51; r3 += c;
+  c = r3 >> 51; r3 &= kMask51; r4 += c;
+  c = r4 >> 51; r4 &= kMask51; r0 += c * 19;
+  c = r0 >> 51; r0 &= kMask51; r1 += c;
+  return Fe{{(u64)r0, (u64)r1, (u64)r2, (u64)r3, (u64)r4}};
 }
 
 }  // namespace
@@ -49,15 +57,14 @@ Fe FeFromU64(std::uint64_t x) {
 Fe FeAdd(const Fe& f, const Fe& g) {
   Fe h;
   for (int i = 0; i < 5; ++i) h.v[i] = f.v[i] + g.v[i];
-  Reduce(&h);
   return h;
 }
 
 Fe FeSub(const Fe& f, const Fe& g) {
-  // Add 2p before subtracting so limbs never go negative.
   Fe h;
-  for (int i = 0; i < 5; ++i) h.v[i] = f.v[i] + 2 * kP[i] - g.v[i];
-  Reduce(&h);
+  h.v[0] = f.v[0] + k4P0 - g.v[0];
+  for (int i = 1; i < 5; ++i) h.v[i] = f.v[i] + k4P - g.v[i];
+  CarryPass(&h);
   return h;
 }
 
@@ -71,44 +78,33 @@ Fe FeMul(const Fe& f, const Fe& g) {
   const u64 g1_19 = 19 * g1, g2_19 = 19 * g2, g3_19 = 19 * g3,
             g4_19 = 19 * g4;
 
-  u128 r0 = (u128)f0 * g0 + (u128)f1 * g4_19 + (u128)f2 * g3_19 +
-            (u128)f3 * g2_19 + (u128)f4 * g1_19;
-  u128 r1 = (u128)f0 * g1 + (u128)f1 * g0 + (u128)f2 * g4_19 +
-            (u128)f3 * g3_19 + (u128)f4 * g2_19;
-  u128 r2 = (u128)f0 * g2 + (u128)f1 * g1 + (u128)f2 * g0 +
-            (u128)f3 * g4_19 + (u128)f4 * g3_19;
-  u128 r3 = (u128)f0 * g3 + (u128)f1 * g2 + (u128)f2 * g1 +
-            (u128)f3 * g0 + (u128)f4 * g4_19;
-  u128 r4 = (u128)f0 * g4 + (u128)f1 * g3 + (u128)f2 * g2 +
-            (u128)f3 * g1 + (u128)f4 * g0;
-
-  // Carry chain over the 128-bit accumulators.
-  Fe h;
-  u128 c;
-  c = r0 >> 51; r0 &= kMask51; r1 += c;
-  c = r1 >> 51; r1 &= kMask51; r2 += c;
-  c = r2 >> 51; r2 &= kMask51; r3 += c;
-  c = r3 >> 51; r3 &= kMask51; r4 += c;
-  c = r4 >> 51; r4 &= kMask51; r0 += c * 19;
-  c = r0 >> 51; r0 &= kMask51; r1 += c;
-
-  h.v[0] = (u64)r0;
-  h.v[1] = (u64)r1;
-  h.v[2] = (u64)r2;
-  h.v[3] = (u64)r3;
-  h.v[4] = (u64)r4;
-  return h;
+  const u128 r0 = (u128)f0 * g0 + (u128)f1 * g4_19 + (u128)f2 * g3_19 +
+                  (u128)f3 * g2_19 + (u128)f4 * g1_19;
+  const u128 r1 = (u128)f0 * g1 + (u128)f1 * g0 + (u128)f2 * g4_19 +
+                  (u128)f3 * g3_19 + (u128)f4 * g2_19;
+  const u128 r2 = (u128)f0 * g2 + (u128)f1 * g1 + (u128)f2 * g0 +
+                  (u128)f3 * g4_19 + (u128)f4 * g3_19;
+  const u128 r3 = (u128)f0 * g3 + (u128)f1 * g2 + (u128)f2 * g1 +
+                  (u128)f3 * g0 + (u128)f4 * g4_19;
+  const u128 r4 = (u128)f0 * g4 + (u128)f1 * g3 + (u128)f2 * g2 +
+                  (u128)f3 * g1 + (u128)f4 * g0;
+  return CarryProduct(r0, r1, r2, r3, r4);
 }
 
-Fe FeSquare(const Fe& f) { return FeMul(f, f); }
+Fe FeSquare(const Fe& f) {
+  const u64 f0 = f.v[0], f1 = f.v[1], f2 = f.v[2], f3 = f.v[3], f4 = f.v[4];
+  // Each cross product f_i f_j (i != j) appears twice; fold the 2
+  // (and the 19 of the wraparound) into one factor.
+  const u64 f0_2 = 2 * f0, f1_2 = 2 * f1;
+  const u64 f1_38 = 38 * f1, f2_38 = 38 * f2, f3_38 = 38 * f3;
+  const u64 f3_19 = 19 * f3, f4_19 = 19 * f4;
 
-Fe FePow(const Fe& f, const std::array<std::uint8_t, 32>& exponent_le) {
-  Fe result = FeOne();
-  for (int bit = 255; bit >= 0; --bit) {
-    result = FeSquare(result);
-    if ((exponent_le[bit / 8] >> (bit % 8)) & 1) result = FeMul(result, f);
-  }
-  return result;
+  const u128 r0 = (u128)f0 * f0 + (u128)f1_38 * f4 + (u128)f2_38 * f3;
+  const u128 r1 = (u128)f0_2 * f1 + (u128)f2_38 * f4 + (u128)f3_19 * f3;
+  const u128 r2 = (u128)f0_2 * f2 + (u128)f1 * f1 + (u128)f3_38 * f4;
+  const u128 r3 = (u128)f0_2 * f3 + (u128)f1_2 * f2 + (u128)f4_19 * f4;
+  const u128 r4 = (u128)f0_2 * f4 + (u128)f1_2 * f3 + (u128)f2 * f2;
+  return CarryProduct(r0, r1, r2, r3, r4);
 }
 
 namespace {
@@ -166,47 +162,36 @@ Fe FePow22523(const Fe& f) {
   return FeMul(z_252_2, f);                      // z^(2^252 - 3)
 }
 
-std::array<std::uint8_t, 32> FeToBytes(const Fe& f) {
-  Fe t = f;
-  Reduce(&t);
-  // t < 2^255 + small; subtract p while t >= p (at most twice).
-  for (int round = 0; round < 2; ++round) {
-    bool ge = true;
-    for (int i = 4; i >= 0; --i) {
-      if (t.v[i] > kP[i]) break;
-      if (t.v[i] < kP[i]) {
-        ge = false;
-        break;
-      }
-    }
-    if (!ge) break;
-    u64 borrow = 0;
-    for (int i = 0; i < 5; ++i) {
-      const u64 sub = kP[i] + borrow;
-      if (t.v[i] >= sub) {
-        t.v[i] -= sub;
-        borrow = 0;
-      } else {
-        t.v[i] = t.v[i] + (kMask51 + 1) - sub;
-        borrow = 1;
-      }
-    }
-  }
+void FeCmov(Fe* f, const Fe& g, std::uint64_t move) {
+  const u64 mask = 0 - move;
+  for (int i = 0; i < 5; ++i) f->v[i] ^= mask & (f->v[i] ^ g.v[i]);
+}
 
-  std::array<std::uint8_t, 32> out{};
-  u128 acc = 0;
-  int acc_bits = 0;
-  std::size_t pos = 0;
-  for (int i = 0; i < 5; ++i) {
-    acc |= (u128)t.v[i] << acc_bits;
-    acc_bits += 51;
-    while (acc_bits >= 8 && pos < 32) {
-      out[pos++] = (std::uint8_t)(acc & 0xff);
-      acc >>= 8;
-      acc_bits -= 8;
-    }
+std::array<std::uint8_t, 32> FeToBytes(const Fe& f) {
+  // Two carry passes leave limbs < 2^51 except limb 0 < 2^51 + 19, so
+  // the value t is below 2^255 + 19 < 2p.
+  Fe t = f;
+  CarryPass(&t);
+  CarryPass(&t);
+  // q = floor((t + 19) / 2^255) is 1 iff t >= p; t - qp = t + 19q -
+  // q 2^255, where the 2^255 term is the carry dropped off limb 4.
+  u64 q = (t.v[0] + 19) >> 51;
+  for (int i = 1; i < 5; ++i) q = (t.v[i] + q) >> 51;
+  t.v[0] += 19 * q;
+  for (int i = 0; i < 4; ++i) {
+    t.v[i + 1] += t.v[i] >> 51;
+    t.v[i] &= kMask51;
   }
-  if (pos < 32) out[pos] = (std::uint8_t)(acc & 0xff);
+  t.v[4] &= kMask51;
+
+  const u64 words[4] = {
+      t.v[0] | (t.v[1] << 51),
+      (t.v[1] >> 13) | (t.v[2] << 38),
+      (t.v[2] >> 26) | (t.v[3] << 25),
+      (t.v[3] >> 39) | (t.v[4] << 12),
+  };
+  std::array<std::uint8_t, 32> out;
+  std::memcpy(out.data(), words, 32);  // little-endian host
   return out;
 }
 
@@ -224,11 +209,9 @@ Fe FeFromBytes(ByteSpan bytes) {
 }
 
 bool FeIsZero(const Fe& f) {
-  const auto bytes = FeToBytes(f);
-  for (std::uint8_t b : bytes) {
-    if (b != 0) return false;
-  }
-  return true;
+  std::uint8_t any = 0;
+  for (std::uint8_t b : FeToBytes(f)) any |= b;
+  return any == 0;
 }
 
 bool FeEqual(const Fe& f, const Fe& g) { return FeIsZero(FeSub(f, g)); }
@@ -251,14 +234,9 @@ const Fe& FeConstD2() {
 }
 
 const Fe& FeConstSqrtM1() {
-  static const Fe sqrt_m1 = [] {
-    // sqrt(-1) = 2^((p-1)/4) mod p, exponent (p-1)/4 = 2^253 - 5.
-    std::array<std::uint8_t, 32> exp{};
-    exp[0] = 0xfb;  // 2^253 - 5: low byte 0x100 - 5 with borrow chain
-    for (int i = 1; i < 31; ++i) exp[i] = 0xff;
-    exp[31] = 0x1f;
-    return FePow(FeFromU64(2), exp);
-  }();
+  // sqrt(-1) = 2^((p-1)/4) = (2^((p-5)/8))^2 * 2.
+  static const Fe sqrt_m1 =
+      FeMul(FeSquare(FePow22523(FeFromU64(2))), FeFromU64(2));
   return sqrt_m1;
 }
 

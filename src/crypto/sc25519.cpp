@@ -16,36 +16,68 @@ constexpr u64 kL[4] = {
     0x1000000000000000ULL,
 };
 
-// Returns a >= b for 4-word little-endian values.
-bool GreaterEqual256(const u64 a[4], const u64 b[4]) {
-  for (int i = 3; i >= 0; --i) {
-    if (a[i] > b[i]) return true;
-    if (a[i] < b[i]) return false;
-  }
-  return true;  // equal
-}
+// floor(2^512 / L), the Barrett constant for 64-bit words.
+constexpr u64 kMu[5] = {
+    0xed9ce5a30a2c131bULL, 0x2106215d086329a7ULL, 0xffffffffffffffebULL,
+    0xffffffffffffffffULL, 0x000000000000000fULL,
+};
 
-// a -= b, assuming a >= b.
-void Sub256(u64 a[4], const u64 b[4]) {
+// out = x - L (mod 2^256); returns 1 iff x < L, i.e. the borrow.
+u64 SubL(const u64 x[4], u64 out[4]) {
   u64 borrow = 0;
   for (int i = 0; i < 4; ++i) {
-    const u64 bi = b[i] + borrow;
-    borrow = (bi < borrow) ? 1 : (a[i] < bi ? 1 : 0);
-    a[i] -= bi;
+    const u128 d = (u128)x[i] - kL[i] - borrow;
+    out[i] = (u64)d;
+    borrow = (u64)(d >> 64) & 1;
   }
+  return borrow;
 }
 
-// Reduces an n-word little-endian value mod L into `out`.
-// Processes bits most-significant first: r = 2r + bit; if r >= L, r -= L.
-void ReduceModL(const u64* words, int n, u64 out[4]) {
-  u64 r[4] = {0, 0, 0, 0};
-  for (int bit = n * 64 - 1; bit >= 0; --bit) {
-    // r <<= 1 (r < L < 2^253 so no overflow past word 3).
-    for (int i = 3; i > 0; --i) r[i] = (r[i] << 1) | (r[i - 1] >> 63);
-    r[0] <<= 1;
-    r[0] |= (words[bit / 64] >> (bit % 64)) & 1;
-    if (GreaterEqual256(r, kL)) Sub256(r, kL);
+// r -= L if r >= L, by mask rather than branch.
+void CondSubL(u64 r[4]) {
+  u64 t[4];
+  const u64 keep = 0 - SubL(r, t);  // all ones iff r < L
+  for (int i = 0; i < 4; ++i) r[i] = (r[i] & keep) | (t[i] & ~keep);
+}
+
+// Reduces a 512-bit little-endian value mod L (Barrett, HAC 14.42 with
+// b = 2^64, k = 4). The quotient estimate q3 is at most 2 below
+// floor(x / L), so x - q3 L < 3L and two masked subtractions finish.
+// No branch or memory index depends on x.
+void ReduceModL(const u64 x[8], u64 out[4]) {
+  // q3 = floor(floor(x / 2^192) * mu / 2^320).
+  u64 q2[10] = {0};
+  for (int i = 0; i < 5; ++i) {
+    u128 carry = 0;
+    for (int j = 0; j < 5; ++j) {
+      carry += (u128)x[3 + i] * kMu[j] + q2[i + j];
+      q2[i + j] = (u64)carry;
+      carry >>= 64;
+    }
+    q2[i + 5] = (u64)carry;
   }
+  const u64* q3 = q2 + 5;
+
+  // r = x - q3 * L lies in [0, 3L), below 2^256, so it can be
+  // computed mod 2^256 from the low four words alone.
+  u64 q3l[4] = {0};
+  for (int i = 0; i < 4; ++i) {
+    u128 carry = 0;
+    for (int j = 0; i + j < 4; ++j) {
+      carry += (u128)q3[i] * kL[j] + q3l[i + j];
+      q3l[i + j] = (u64)carry;
+      carry >>= 64;
+    }
+  }
+  u64 r[4];
+  u64 borrow = 0;
+  for (int i = 0; i < 4; ++i) {
+    const u128 d = (u128)x[i] - q3l[i] - borrow;
+    r[i] = (u64)d;
+    borrow = (u64)(d >> 64) & 1;
+  }
+  CondSubL(r);
+  CondSubL(r);
   std::memcpy(out, r, sizeof(r));
 }
 
@@ -61,7 +93,7 @@ Scalar ScFromBytesModL(ByteSpan bytes) {
     std::memcpy(&words[i], buf + 8 * i, 8);  // little-endian host
   }
   Scalar s;
-  ReduceModL(words, 8, s.w);
+  ReduceModL(words, s.w);
   return s;
 }
 
@@ -72,43 +104,33 @@ std::array<std::uint8_t, 32> ScToBytes(const Scalar& s) {
 }
 
 Scalar ScAdd(const Scalar& a, const Scalar& b) {
+  // a, b < L < 2^253 so there is no carry out of word 3, and one
+  // subtraction brings a + b < 2L below L.
   Scalar r;
-  u64 carry = 0;
+  u128 carry = 0;
   for (int i = 0; i < 4; ++i) {
-    const u64 sum = a.w[i] + b.w[i];
-    const u64 with_carry = sum + carry;
-    const u64 new_carry = (sum < a.w[i]) || (with_carry < sum) ? 1 : 0;
-    r.w[i] = with_carry;
-    carry = new_carry;
+    carry += (u128)a.w[i] + b.w[i];
+    r.w[i] = (u64)carry;
+    carry >>= 64;
   }
-  // a, b < L < 2^253 so no carry out of word 3; one subtraction suffices.
-  if (GreaterEqual256(r.w, kL)) Sub256(r.w, kL);
+  CondSubL(r.w);
   return r;
 }
 
 Scalar ScMulAdd(const Scalar& a, const Scalar& b, const Scalar& c) {
-  // Schoolbook 4x4 -> 8-word product, then add c, then reduce.
-  u64 prod[8] = {0};
+  // Schoolbook 4x4 -> 8-word product plus c, then reduce.
+  u64 prod[8] = {c.w[0], c.w[1], c.w[2], c.w[3], 0, 0, 0, 0};
   for (int i = 0; i < 4; ++i) {
-    u64 carry = 0;
+    u128 carry = 0;
     for (int j = 0; j < 4; ++j) {
-      const u128 t = (u128)a.w[i] * b.w[j] + prod[i + j] + carry;
-      prod[i + j] = (u64)t;
-      carry = (u64)(t >> 64);
+      carry += (u128)a.w[i] * b.w[j] + prod[i + j];
+      prod[i + j] = (u64)carry;
+      carry >>= 64;
     }
-    prod[i + 4] += carry;
-  }
-  // prod += c.
-  u64 carry = 0;
-  for (int i = 0; i < 8; ++i) {
-    const u64 add = (i < 4 ? c.w[i] : 0);
-    const u64 sum = prod[i] + add;
-    const u64 with_carry = sum + carry;
-    carry = (sum < prod[i]) || (with_carry < sum) ? 1 : 0;
-    prod[i] = with_carry;
+    prod[i + 4] = (u64)carry;  // not yet written by an earlier row
   }
   Scalar r;
-  ReduceModL(prod, 8, r.w);
+  ReduceModL(prod, r.w);
   return r;
 }
 
@@ -116,7 +138,8 @@ bool ScIsCanonical(ByteSpan bytes32) {
   if (bytes32.size() != 32) return false;
   u64 words[4];
   for (int i = 0; i < 4; ++i) std::memcpy(&words[i], bytes32.data() + 8 * i, 8);
-  return !GreaterEqual256(words, kL);
+  u64 unused[4];
+  return SubL(words, unused) == 1;
 }
 
 bool ScIsZero(const Scalar& s) {

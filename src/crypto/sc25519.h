@@ -1,9 +1,16 @@
 // Scalar arithmetic modulo the Ed25519 group order
 // L = 2^252 + 27742317777372353535851937790883648493.
 //
-// Scalars are 4 little-endian 64-bit words. Reduction uses a simple
-// shift-and-subtract scheme: it is called only a handful of times per
-// signature so simplicity beats the heavily unrolled ref10 code.
+// Scalars are 4 little-endian 64-bit words. Reduction mod L is a
+// word-wise Barrett reduction with masked final subtractions; it runs
+// four times per signature (nonce, challenge, secret scalar, s) and
+// once per verification.
+//
+// Timing: ScFromBytesModL, ScMulAdd, ScAdd and ScToBytes run in time
+// independent of their inputs (no branch or memory index on data), as
+// signing feeds them the secret nonce and scalar. ScIsCanonical and
+// ScIsZero return a bool for callers to branch on, which Verify does
+// only on public data.
 #pragma once
 
 #include <array>

@@ -32,6 +32,7 @@
 #include "crypto/sha256.h"
 #include "csm/membership.h"
 #include "csm/state_machine.h"
+#include "ed25519_oracle.h"
 #include "node/gossip.h"
 #include "recon/messages.h"
 #include "serial/codec.h"
@@ -134,6 +135,19 @@ Status DecodeCorpusInput(const std::string& kind, const Bytes& input) {
       }
     }
     return InvalidArgumentError("unhandled message type");
+  }
+  if (kind == "ed25519_verify") {
+    // pk || sig || message: any input that long is well-formed, and
+    // Verify must agree with the bit-serial reference on it.
+    if (input.size() < 96) return InvalidArgumentError("shorter than pk||sig");
+    crypto::PublicKey pk;
+    crypto::Signature sig;
+    std::memcpy(pk.bytes.data(), input.data(), 32);
+    std::memcpy(sig.bytes.data(), input.data() + 32, 64);
+    const ByteSpan msg = span.subspan(96);
+    EXPECT_EQ(crypto::Verify(pk, msg, sig),
+              crypto::oracle::LadderVerify(pk.bytes, msg, sig.bytes));
+    return Status::Ok();
   }
   ADD_FAILURE() << "corpus directory with no decoder mapping: " << kind;
   return InvalidArgumentError("unknown corpus kind");

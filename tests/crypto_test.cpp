@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "crypto/aead.h"
 #include "crypto/chacha20.h"
@@ -14,12 +15,25 @@
 #include "crypto/sc25519.h"
 #include "crypto/sha256.h"
 #include "crypto/sha512.h"
+#include "ed25519_oracle.h"
 #include "util/bytes.h"
+#include "util/rng.h"
 
 namespace vegvisir::crypto {
 namespace {
 
 std::string DigestHex(ByteSpan d) { return ToHex(d); }
+
+// The four points of order 8.
+constexpr const char* kOrder8[] = {
+    "26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc05",
+    "26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc85",
+    "c7176a703d4dd84fba3c0b760d10670f2a2053fa2c39ccc64ec7fd7792ac037a",
+    "c7176a703d4dd84fba3c0b760d10670f2a2053fa2c39ccc64ec7fd7792ac03fa",
+};
+
+constexpr const char* kLHex =
+    "edd3f55c1a631258d69cf7a2def9de1400000000000000000000000000000010";
 
 // ---------------------------------------------------------------- SHA-256
 
@@ -423,13 +437,150 @@ TEST(Fe25519Test, DConstantMatchesRfc) {
 }
 
 TEST(Fe25519Test, PowMatchesInvert) {
-  // x^(p-2) via the generic ladder must equal FeInvert.
-  std::array<std::uint8_t, 32> exp{};
-  exp[0] = 0xeb;  // 2^255 - 21 little-endian: 0xeb, 0xff.., top 0x7f
-  for (int i = 1; i < 31; ++i) exp[i] = 0xff;
-  exp[31] = 0x7f;
+  // The two exponentiation chains agree: a^(p-2) = a^(2^255 - 21) =
+  // (a^(2^252 - 3))^8 * a^3.
   const Fe a = FeFromU64(9999999937ULL);
-  EXPECT_TRUE(FeEqual(FePow(a, exp), FeInvert(a)));
+  Fe pow = FePow22523(a);
+  for (int i = 0; i < 3; ++i) pow = FeSquare(pow);
+  EXPECT_TRUE(FeEqual(FeMul(pow, FeMul(FeSquare(a), a)), FeInvert(a)));
+  EXPECT_TRUE(FeEqual(FeMul(a, FeInvert(a)), FeOne()));
+}
+
+// Limb-bound stress: feed every operation the worst-case limbs its
+// contract in fe25519.h allows and compare with schoolbook big-integer
+// arithmetic mod p.
+
+using Big = std::array<std::uint64_t, 10>;  // 640-bit little-endian
+
+Big BigFromLimbs(const Fe& f) {
+  Big out{};
+  for (int i = 0; i < 5; ++i) {
+    const int bit = 51 * i;
+    unsigned __int128 carry = (unsigned __int128)f.v[i] << (bit % 64);
+    for (int w = bit / 64; w < 10; ++w) {
+      carry += out[w];
+      out[w] = static_cast<std::uint64_t>(carry);
+      carry >>= 64;
+    }
+  }
+  return out;
+}
+
+Big BigMul(const Big& a, const Big& b) {
+  Big out{};
+  for (int i = 0; i < 5; ++i) {
+    unsigned __int128 carry = 0;
+    for (int j = 0; j < 5; ++j) {
+      carry += (unsigned __int128)a[i] * b[j] + out[i + j];
+      out[i + j] = static_cast<std::uint64_t>(carry);
+      carry >>= 64;
+    }
+    out[i + 5] = static_cast<std::uint64_t>(carry);
+  }
+  return out;
+}
+
+// x mod p as 32 little-endian bytes, folding 2^255 == 19.
+std::array<std::uint8_t, 32> BigModP(Big x) {
+  for (;;) {
+    Big hi{};
+    for (int w = 0; w < 6; ++w) hi[w] = (x[w + 3] >> 63) | (x[w + 4] << 1);
+    hi[6] = x[9] >> 63;
+    x[3] &= ~(std::uint64_t{1} << 63);
+    for (int w = 4; w < 10; ++w) x[w] = 0;
+    bool zero = true;
+    for (auto w : hi) zero = zero && w == 0;
+    if (zero) break;
+    unsigned __int128 carry = 0;
+    for (int w = 0; w < 10; ++w) {
+      carry += (unsigned __int128)hi[w] * 19 + x[w];
+      x[w] = static_cast<std::uint64_t>(carry);
+      carry >>= 64;
+    }
+  }
+  // x < 2^255; subtract p = 2^255 - 19 once if x >= p.
+  const bool ge_p = x[3] == 0x7fffffffffffffffULL && x[2] == ~0ULL &&
+                    x[1] == ~0ULL && x[0] >= 0xffffffffffffffedULL;
+  if (ge_p) {
+    x[0] -= 0xffffffffffffffedULL;
+    x[1] = x[2] = x[3] = 0;
+  }
+  std::array<std::uint8_t, 32> out;
+  std::memcpy(out.data(), x.data(), 32);
+  return out;
+}
+
+Big BigAdd(const Big& a, const Big& b) {
+  Big out{};
+  unsigned __int128 carry = 0;
+  for (int w = 0; w < 10; ++w) {
+    carry += (unsigned __int128)a[w] + b[w];
+    out[w] = static_cast<std::uint64_t>(carry);
+    carry >>= 64;
+  }
+  return out;
+}
+
+Fe FeAllLimbs(std::uint64_t v) { return Fe{{v, v, v, v, v}}; }
+
+bool LimbsBelow(const Fe& f, std::uint64_t bound) {
+  for (auto v : f.v) {
+    if (v >= bound) return false;
+  }
+  return true;
+}
+
+TEST(Fe25519Test, WorstCaseLimbsMatchBigIntegerOracle) {
+  constexpr std::uint64_t kMulMax = (std::uint64_t{1} << 54) - 1;
+  constexpr std::uint64_t kReducedBound =
+      (std::uint64_t{1} << 51) + (std::uint64_t{1} << 15);
+  constexpr std::uint64_t kLooseBound =
+      (std::uint64_t{1} << 53) - (std::uint64_t{1} << 7);
+  // 4p, the multiple of p FeSub adds, in bytes for the oracle.
+  const Big four_p = BigFromLimbs(Fe{{4 * ((std::uint64_t{1} << 51) - 19),
+                                      4 * ((std::uint64_t{1} << 51) - 1),
+                                      4 * ((std::uint64_t{1} << 51) - 1),
+                                      4 * ((std::uint64_t{1} << 51) - 1),
+                                      4 * ((std::uint64_t{1} << 51) - 1)}});
+  Rng rng(54);
+  std::vector<Fe> wide = {FeAllLimbs(kMulMax), FeAllLimbs(kLooseBound - 1),
+                          FeAllLimbs(kReducedBound - 1), FeZero()};
+  for (int i = 0; i < 200; ++i) {
+    Fe f;
+    for (auto& v : f.v) v = rng.NextU64() & kMulMax;
+    wide.push_back(f);
+  }
+  for (const Fe& f : wide) {
+    const Big bf = BigFromLimbs(f);
+    const Fe sq = FeSquare(f);
+    EXPECT_TRUE(LimbsBelow(sq, kReducedBound));
+    EXPECT_EQ(FeToBytes(sq), BigModP(BigMul(bf, bf)));
+    for (const Fe& g : {wide[0], wide[1], wide[3], wide.back()}) {
+      const Fe m = FeMul(f, g);
+      EXPECT_TRUE(LimbsBelow(m, kReducedBound));
+      EXPECT_EQ(FeToBytes(m), BigModP(BigMul(bf, BigFromLimbs(g))));
+    }
+    // FeSub: f < 2^54, g loose.
+    for (const Fe& g : {FeAllLimbs(kLooseBound - 1), FeZero()}) {
+      const Fe d = FeSub(f, g);
+      EXPECT_TRUE(LimbsBelow(d, kReducedBound));
+      // f - g == f + 4p - g; compare (f + 4p) with g + (f - g).
+      EXPECT_EQ(BigModP(BigAdd(bf, four_p)),
+                BigModP(BigAdd(BigFromLimbs(g), BigFromLimbs(d))));
+    }
+  }
+  // FeAdd of two worst-case reduced elements stays loose, and FeNeg
+  // accepts the result.
+  const Fe r = FeAllLimbs(kReducedBound - 1);
+  const Fe sum = FeAdd(r, r);
+  EXPECT_TRUE(LimbsBelow(sum, kLooseBound));
+  EXPECT_EQ(FeToBytes(sum), BigModP(BigAdd(BigFromLimbs(r), BigFromLimbs(r))));
+  const Fe neg = FeNeg(sum);
+  EXPECT_TRUE(LimbsBelow(neg, kReducedBound));
+  EXPECT_EQ(FeToBytes(FeNeg(neg)), FeToBytes(sum));
+  // FeToBytes accepts any limbs < 2^63.
+  const Fe huge = FeAllLimbs((std::uint64_t{1} << 63) - 1);
+  EXPECT_EQ(FeToBytes(huge), BigModP(BigFromLimbs(huge)));
 }
 
 // ------------------------------------------------------------ scalar arith
@@ -578,6 +729,118 @@ TEST(Ge25519Test, BasePointEncodingMatchesRfc) {
             "5866666666666666666666666666666666666666666666666666666666666666");
 }
 
+TEST(Ge25519Test, ScalarMultBaseMatchesLadder) {
+  std::vector<std::array<std::uint8_t, 32>> scalars;
+  std::array<std::uint8_t, 32> k{};
+  scalars.push_back(k);  // 0
+  k.fill(0xff);
+  k[0] = 0xf8;
+  k[31] = 0x7f;
+  scalars.push_back(k);  // largest clamped scalar, 2^255 - 8
+  Rng rng(255);
+  for (int i = 0; i < 24; ++i) {
+    for (auto& b : k) b = static_cast<std::uint8_t>(rng.NextU64());
+    k[31] &= 0x7f;
+    scalars.push_back(k);
+  }
+  for (const auto& s : scalars) {
+    EXPECT_TRUE(
+        GeEqual(GeScalarMultBase(s), oracle::LadderMult(GeBasePoint(), s)))
+        << ToHex(ByteSpan(s.data(), 32));
+  }
+}
+
+TEST(Ge25519Test, DoubleScalarMultMatchesLadder) {
+  Rng rng(253);
+  auto random_scalar = [&] {
+    std::array<std::uint8_t, 32> k;
+    for (auto& b : k) b = static_cast<std::uint8_t>(rng.NextU64());
+    k[31] &= 0x1f;  // below 2^253
+    return k;
+  };
+  std::vector<GePoint> points = {GeIdentity(), GeBasePoint(),
+                                 *GeDecompress(MustFromHex(kOrder8[2]))};
+  for (int i = 0; i < 4; ++i) points.push_back(GeScalarMultBase(random_scalar()));
+  std::array<std::uint8_t, 32> zero{};
+  for (const GePoint& a : points) {
+    for (int i = 0; i < 4; ++i) {
+      const auto ka = i == 0 ? zero : random_scalar();
+      const auto kb = i == 1 ? zero : random_scalar();
+      const GePoint expect = GeAdd(oracle::LadderMult(a, ka),
+                                   oracle::LadderMult(GeBasePoint(), kb));
+      EXPECT_TRUE(GeEqual(GeDoubleScalarMultVartime(a, ka, kb), expect));
+    }
+  }
+}
+
+TEST(Ge25519Test, Radix16RecodingRoundTrips) {
+  std::vector<std::array<std::uint8_t, 32>> scalars;
+  std::array<std::uint8_t, 32> k{};
+  scalars.push_back(k);  // 0
+  k[0] = 1;
+  scalars.push_back(k);  // 1
+  const Bytes l_minus_1 = MustFromHex(kLHex);
+  std::memcpy(k.data(), l_minus_1.data(), 32);
+  k[0] -= 1;
+  scalars.push_back(k);  // L - 1
+  k.fill(0xff);
+  k[0] = 0xf8;
+  k[31] = 0x7f;
+  scalars.push_back(k);  // largest clamped scalar
+  k.fill(0xff);
+  k[31] = 0x7f;
+  scalars.push_back(k);  // 2^255 - 1
+  Rng rng(16);
+  for (int i = 0; i < 100; ++i) {
+    for (auto& b : k) b = static_cast<std::uint8_t>(rng.NextU64());
+    k[31] &= 0x7f;
+    scalars.push_back(k);
+  }
+  for (const auto& s : scalars) {
+    const auto e = GeRadix16(s);
+    for (int i = 0; i < 63; ++i) {
+      EXPECT_GE(e[i], -8);
+      EXPECT_LT(e[i], 8);
+    }
+    EXPECT_GE(e[63], 0);
+    EXPECT_LE(e[63], 8);
+    // Re-normalise sum e[i] 16^i into nibbles.
+    std::array<std::uint8_t, 32> back{};
+    int carry = 0;
+    for (int i = 0; i < 64; ++i) {
+      const int v = e[i] + carry;
+      const int nibble = v & 15;
+      carry = (v - nibble) / 16;
+      back[i / 2] |= static_cast<std::uint8_t>(nibble << (4 * (i % 2)));
+    }
+    EXPECT_EQ(carry, 0);
+    EXPECT_EQ(back, s);
+  }
+}
+
+TEST(Ge25519Test, BaseTableLookupSelectsEveryDigit) {
+  GePoint row_base = GeBasePoint();  // 16^(2 pos) B
+  for (int pos = 0; pos < 32; ++pos) {
+    GePoint multiple = GeIdentity();
+    EXPECT_TRUE(GeEqual(GeBaseTableLookup(pos, 0), GeIdentity()));
+    for (std::int8_t d = 1; d <= 8; ++d) {
+      multiple = GeAdd(multiple, row_base);
+      EXPECT_TRUE(GeEqual(GeBaseTableLookup(pos, d), multiple))
+          << pos << " " << int{d};
+      const GePoint minus = GeBaseTableLookup(pos, static_cast<std::int8_t>(-d));
+      EXPECT_TRUE(GeEqual(GeAdd(minus, multiple), GeIdentity()))
+          << pos << " " << -int{d};
+    }
+    for (int i = 0; i < 8; ++i) row_base = GeDouble(row_base);
+  }
+}
+
+TEST(Ge25519Test, NegIsAdditiveInverse) {
+  const GePoint b3 = GeAdd(GeDouble(GeBasePoint()), GeBasePoint());
+  EXPECT_TRUE(GeEqual(GeAdd(b3, GeNeg(b3)), GeIdentity()));
+  EXPECT_TRUE(GeIsValid(GeNeg(b3)));
+}
+
 // --------------------------------------------------------------- Ed25519
 
 struct Rfc8032Vector {
@@ -705,6 +968,274 @@ TEST(Ed25519Test, ManyRandomRoundTrips) {
     const Bytes msg = drbg.Generate(1 + i * 17);
     const Signature sig = kp.Sign(msg);
     EXPECT_TRUE(Verify(kp.public_key(), msg, sig)) << i;
+  }
+}
+
+// ------------------------------------------------ verdict pinning
+//
+// These tests pin Verify's accept/reject decisions, not just its
+// behaviour on honest signatures: the golden table below was computed
+// with the original bit-serial implementation, so any fast path must
+// reproduce every verdict, including the cofactorless treatment of
+// small-order and mixed-order points and the acceptance of
+// non-canonical y encodings.
+
+KeyPair SeededKey(std::uint8_t fill) {
+  std::array<std::uint8_t, kEd25519SeedSize> seed;
+  seed.fill(fill);
+  return KeyPair::FromSeed(seed);
+}
+
+// A and R candidates: identity, order 2, both order 4, all order 8,
+// non-canonical y = p and y = p + 1, identity with the sign bit set
+// (invalid), the base point, four mixed-order [a]B + T8 keys and four
+// honest keys.
+std::vector<Bytes> EdgeEncodings() {
+  std::vector<Bytes> out;
+  for (const char* hex : {
+           "0100000000000000000000000000000000000000000000000000000000000000",
+           "ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+           "0000000000000000000000000000000000000000000000000000000000000000",
+           "0000000000000000000000000000000000000000000000000000000000000080",
+       }) {
+    out.push_back(MustFromHex(hex));
+  }
+  for (const char* hex : kOrder8) out.push_back(MustFromHex(hex));
+  for (const char* hex : {
+           "edffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+           "eeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+           "0100000000000000000000000000000000000000000000000000000000000080",
+           "5866666666666666666666666666666666666666666666666666666666666666",
+       }) {
+    out.push_back(MustFromHex(hex));
+  }
+  const GePoint t8 = *GeDecompress(MustFromHex(kOrder8[0]));
+  for (std::uint8_t i = 0; i < 4; ++i) {
+    const PublicKey pk = SeededKey(0x10 + i).public_key();
+    const GePoint a = *GeDecompress(ByteSpan(pk.bytes.data(), 32));
+    const auto enc = GeCompress(GeAdd(a, t8));
+    out.emplace_back(enc.begin(), enc.end());
+  }
+  for (std::uint8_t i = 0; i < 4; ++i) {
+    const PublicKey pk = SeededKey(0x20 + i).public_key();
+    out.emplace_back(pk.bytes.begin(), pk.bytes.end());
+  }
+  return out;
+}
+
+// s candidates: 0, 1, L - 1, L (non-canonical) and four fixed values
+// below 2^252.
+std::vector<Bytes> EdgeScalars() {
+  std::vector<Bytes> out;
+  out.emplace_back(32, 0);
+  out.emplace_back(32, 0);
+  out.back()[0] = 1;
+  out.push_back(MustFromHex(kLHex));
+  out.back()[0] -= 1;
+  out.push_back(MustFromHex(kLHex));
+  for (char i = '0'; i < '4'; ++i) {
+    const auto d = Sha256::Hash(BytesOf(std::string("verdict-s-") + i));
+    out.emplace_back(d.begin(), d.end());
+    out.back()[31] &= 0x0f;
+  }
+  return out;
+}
+
+TEST(Ed25519VerdictTest, EdgeEncodingsHaveTheirStatedOrder) {
+  auto order_at_most = [](GePoint p, int log2_order) {
+    for (int i = 0; i < log2_order; ++i) p = GeDouble(p);
+    return GeEqual(p, GeIdentity());
+  };
+  const auto enc = EdgeEncodings();
+  ASSERT_EQ(enc.size(), 20u);
+  EXPECT_TRUE(order_at_most(*GeDecompress(enc[0]), 0));
+  EXPECT_TRUE(order_at_most(*GeDecompress(enc[1]), 1));
+  for (int i = 2; i < 4; ++i) {
+    const GePoint p = *GeDecompress(enc[i]);
+    EXPECT_TRUE(order_at_most(p, 2) && !order_at_most(p, 1)) << i;
+  }
+  for (int i = 4; i < 8; ++i) {
+    const GePoint p = *GeDecompress(enc[i]);
+    EXPECT_TRUE(order_at_most(p, 3) && !order_at_most(p, 2)) << i;
+  }
+  // y = p decodes to the order-4 point, y = p + 1 to the identity.
+  EXPECT_TRUE(GeEqual(*GeDecompress(enc[8]), *GeDecompress(enc[2])));
+  EXPECT_TRUE(GeEqual(*GeDecompress(enc[9]), GeIdentity()));
+  EXPECT_FALSE(GeDecompress(enc[10]).has_value());
+}
+
+TEST(Ed25519VerdictTest, CrossProductMatchesGoldenTable) {
+  // Bit (a * 20 + r) * 8 + s, little-endian within each byte.
+  static constexpr const char* kGolden =
+      "0100000000000000000100020000000000000000000100000000000000010002"
+      "0000000000000000000000010000000000000000000000000000000000000101"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "0000000001000000000100000000000000000000000000000000010000000100"
+      "0001000000000000000000000000010000010001000000020000000000000000"
+      "0100000000000000000000000000000000000000010000000000000000010002"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "00000000000000000000000000000000";
+  const auto points = EdgeEncodings();
+  const auto scalars = EdgeScalars();
+  const Bytes msg = BytesOf("vegvisir verdict table");
+  Bytes bits((points.size() * points.size() * scalars.size() + 7) / 8, 0);
+  std::size_t idx = 0, accepted = 0;
+  for (const Bytes& a : points) {
+    PublicKey pk;
+    std::memcpy(pk.bytes.data(), a.data(), 32);
+    for (const Bytes& r : points) {
+      for (const Bytes& s : scalars) {
+        Signature sig;
+        std::memcpy(sig.bytes.data(), r.data(), 32);
+        std::memcpy(sig.bytes.data() + 32, s.data(), 32);
+        if (Verify(pk, msg, sig)) {
+          bits[idx / 8] |= static_cast<std::uint8_t>(1u << (idx % 8));
+          ++accepted;
+        }
+        ++idx;
+      }
+    }
+  }
+  EXPECT_EQ(ToHex(bits), kGolden);
+  EXPECT_EQ(accepted, 22u);
+}
+
+TEST(Ed25519DifferentialTest, VerifyMatchesLadderOracle) {
+  // 3,000 (pk, msg, sig) triples: two thirds honest, one third with
+  // the signature, key or message tampered or swapped for an edge
+  // encoding.
+  Rng rng(0xed25519);
+  std::vector<KeyPair> keys;
+  for (std::uint8_t i = 0; i < 48; ++i) keys.push_back(SeededKey(0x40 + i));
+  const auto edges = EdgeEncodings();
+  int accepted = 0;
+  for (int i = 0; i < 3000; ++i) {
+    const KeyPair& kp = keys[rng.NextBelow(keys.size())];
+    Bytes msg(rng.NextBelow(80));
+    for (auto& b : msg) b = static_cast<std::uint8_t>(rng.NextU64());
+    Signature sig = kp.Sign(msg);
+    PublicKey pk = kp.public_key();
+    if (i % 3 == 0) {
+      const auto bit = static_cast<std::uint8_t>(1u << rng.NextBelow(8));
+      switch (rng.NextBelow(6)) {
+        case 0: sig.bytes[rng.NextBelow(32)] ^= bit; break;
+        case 1: sig.bytes[32 + rng.NextBelow(32)] ^= bit; break;
+        case 2: pk.bytes[rng.NextBelow(32)] ^= bit; break;
+        case 3: msg.push_back(bit); break;
+        case 4: {
+          const Bytes& e = edges[rng.NextBelow(edges.size())];
+          std::memcpy(sig.bytes.data(), e.data(), 32);
+          break;
+        }
+        default: {
+          const Bytes& e = edges[rng.NextBelow(edges.size())];
+          std::memcpy(pk.bytes.data(), e.data(), 32);
+          break;
+        }
+      }
+    }
+    const bool got = Verify(pk, msg, sig);
+    ASSERT_EQ(got, oracle::LadderVerify(pk.bytes, msg, sig.bytes))
+        << "case " << i;
+    accepted += got ? 1 : 0;
+  }
+  EXPECT_EQ(accepted, 2000);
+}
+
+// ------------------------------------------- scalar reduction oracle
+
+// x mod L by shift-and-subtract, one bit at a time: slow and obvious.
+std::array<std::uint8_t, 32> BitSerialModL(const std::uint8_t in[64]) {
+  const Bytes l = MustFromHex(kLHex);
+  std::uint64_t lw[4], r[4] = {0, 0, 0, 0};
+  std::memcpy(lw, l.data(), 32);
+  for (int bit = 511; bit >= 0; --bit) {
+    for (int i = 3; i > 0; --i) r[i] = (r[i] << 1) | (r[i - 1] >> 63);
+    r[0] = (r[0] << 1) | ((in[bit / 8] >> (bit % 8)) & 1);
+    bool ge = true;
+    for (int i = 3; i >= 0; --i) {
+      if (r[i] != lw[i]) {
+        ge = r[i] > lw[i];
+        break;
+      }
+    }
+    if (!ge) continue;
+    unsigned __int128 borrow = 0;
+    for (int i = 0; i < 4; ++i) {
+      const unsigned __int128 d = (unsigned __int128)r[i] - lw[i] - borrow;
+      r[i] = static_cast<std::uint64_t>(d);
+      borrow = (d >> 64) & 1;
+    }
+  }
+  std::array<std::uint8_t, 32> out;
+  std::memcpy(out.data(), r, 32);
+  return out;
+}
+
+TEST(Sc25519Test, ReductionMatchesBitSerialOracle) {
+  std::vector<Bytes> inputs;
+  const Bytes l = MustFromHex(kLHex);
+  Bytes x(64, 0);
+  std::memcpy(x.data(), l.data(), 32);
+  inputs.push_back(x);  // L
+  x[0] -= 1;
+  inputs.push_back(x);  // L - 1
+  x.assign(64, 0);
+  unsigned carry = 0;
+  for (int i = 0; i < 32; ++i) {  // 2L
+    const unsigned v = 2u * l[i] + carry;
+    x[i] = static_cast<std::uint8_t>(v);
+    carry = v >> 8;
+  }
+  inputs.push_back(x);
+  inputs.emplace_back(64, 0xff);  // 2^512 - 1
+  inputs.emplace_back(64, 0);
+  Rng rng(512);
+  for (int i = 0; i < 10000; ++i) {
+    Bytes r(64);
+    for (auto& b : r) b = static_cast<std::uint8_t>(rng.NextU64());
+    inputs.push_back(std::move(r));
+  }
+  for (const Bytes& in : inputs) {
+    ASSERT_EQ(ScToBytes(ScFromBytesModL(in)), BitSerialModL(in.data()))
+        << ToHex(in);
+  }
+}
+
+TEST(Sc25519Test, MulAddMatchesBitSerialOracle) {
+  Rng rng(513);
+  auto random_scalar = [&] {
+    Bytes b(64);
+    for (auto& v : b) v = static_cast<std::uint8_t>(rng.NextU64());
+    return ScFromBytesModL(b);
+  };
+  for (int i = 0; i < 2000; ++i) {
+    const Scalar a = random_scalar(), b = random_scalar(), c = random_scalar();
+    // a*b + c as a 512-bit little-endian integer.
+    std::uint64_t prod[8] = {0};
+    for (int x = 0; x < 4; ++x) {
+      unsigned __int128 carry = 0;
+      for (int y = 0; y < 4; ++y) {
+        carry += (unsigned __int128)a.w[x] * b.w[y] + prod[x + y];
+        prod[x + y] = static_cast<std::uint64_t>(carry);
+        carry >>= 64;
+      }
+      prod[x + 4] = static_cast<std::uint64_t>(carry);
+    }
+    unsigned __int128 carry = 0;
+    for (int w = 0; w < 8; ++w) {
+      carry += (unsigned __int128)prod[w] + (w < 4 ? c.w[w] : 0);
+      prod[w] = static_cast<std::uint64_t>(carry);
+      carry >>= 64;
+    }
+    std::uint8_t bytes[64];
+    std::memcpy(bytes, prod, 64);
+    ASSERT_EQ(ScToBytes(ScMulAdd(a, b, c)), BitSerialModL(bytes)) << i;
   }
 }
 
