@@ -89,6 +89,7 @@ Bytes Block::SigningPayload() const {
 
 Bytes Block::Serialize() const {
   serial::Writer w;
+  w.Reserve(encoded_size_);  // 0 until the first RecomputeDerived
   header_.Encode(&w);
   w.WriteVarint(txns_.size());
   for (const Transaction& tx : txns_) tx.Encode(&w);
@@ -126,6 +127,10 @@ void Block::RecomputeDerived() {
 }
 
 bool Block::VerifySignature(const crypto::PublicKey& key) const {
+  return crypto::Verify(key, SigningPayload(), signature_);
+}
+
+bool Block::VerifySignature(const crypto::PreparedKey& key) const {
   return crypto::Verify(key, SigningPayload(), signature_);
 }
 

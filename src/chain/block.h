@@ -69,6 +69,7 @@ class Block {
   // Signature check against the given key (validation uses the key
   // from the creator's certificate).
   bool VerifySignature(const crypto::PublicKey& key) const;
+  bool VerifySignature(const crypto::PreparedKey& key) const;
 
   bool operator==(const Block& other) const { return hash_ == other.hash_; }
 

@@ -47,8 +47,10 @@ ValidationResult ValidateBlock(const Block& block, const Dag& dag,
       cached = presig->Lookup(block.hash(), cert->public_key);
     }
     const bool signature_ok =
-        cached.has_value() ? *cached
-                           : block.VerifySignature(cert->public_key);
+        cached.has_value()
+            ? *cached
+            : block.VerifySignature(
+                  *membership.FindVerifyKey(block.header().user_id));
     if (!signature_ok) {
       return Reject(UnauthenticatedError("bad signature on block"));
     }
@@ -111,15 +113,14 @@ std::vector<exec::VerifyJob> MakeVerifyJobs(
   jobs.reserve(blocks.size());
   for (const Block* block : blocks) {
     if (block == nullptr) continue;
-    const Certificate* cert =
-        membership.FindCertificate(block->header().user_id);
-    if (cert == nullptr) continue;  // pre-verifiable once enrolment lands
-    if (dedup != nullptr && dedup->Cached(block->hash(), cert->public_key)) {
+    auto key = membership.FindVerifyKey(block->header().user_id);
+    if (key == nullptr) continue;  // pre-verifiable once enrolment lands
+    if (dedup != nullptr && dedup->Cached(block->hash(), key->public_key)) {
       continue;
     }
     exec::VerifyJob job;
     job.id = block->hash();
-    job.key = cert->public_key;
+    job.key = std::move(key);
     job.message = block->SigningPayload();
     job.signature = block->signature();
     jobs.push_back(std::move(job));

@@ -21,6 +21,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -40,6 +41,12 @@ class MembershipView {
 
   // The certificate for a user id, or nullptr if unknown.
   virtual const Certificate* FindCertificate(
+      const std::string& user_id) const = 0;
+
+  // That certificate's public key prepared for verification
+  // (crypto::PrepareKey, built once per certificate), or nullptr if
+  // unknown. Immutable, so verify jobs on other threads may hold it.
+  virtual std::shared_ptr<const crypto::PreparedKey> FindVerifyKey(
       const std::string& user_id) const = 0;
 
   // True iff some revocation (remove from U) exists for this user.

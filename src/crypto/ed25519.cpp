@@ -77,23 +77,32 @@ Signature KeyPair::Sign(ByteSpan message) const {
   return sig;
 }
 
-bool Verify(const PublicKey& public_key, ByteSpan message,
+PreparedKey PrepareKey(const PublicKey& public_key) {
+  PreparedKey key;
+  key.public_key = public_key;
+  const auto a_point =
+      GeDecompress(ByteSpan(public_key.bytes.data(), public_key.bytes.size()));
+  if (a_point) {
+    key.valid = true;
+    key.neg_a = GeOddMultiplesOf(GeNeg(*a_point));
+  }
+  return key;
+}
+
+bool Verify(const PreparedKey& key, ByteSpan message,
             const Signature& signature) {
   const ByteSpan r_enc(signature.bytes.data(), 32);
   const ByteSpan s_enc(signature.bytes.data() + 32, 32);
 
   if (!ScIsCanonical(s_enc)) return false;
-
-  const auto a_point =
-      GeDecompress(ByteSpan(public_key.bytes.data(), public_key.bytes.size()));
-  if (!a_point) return false;
+  if (!key.valid) return false;
   const auto r_point = GeDecompress(r_enc);
   if (!r_point) return false;
 
   // k = SHA-512(enc(R) || enc(A) || M) mod L.
   Sha512 h;
   h.Update(r_enc);
-  h.Update(ByteSpan(public_key.bytes.data(), public_key.bytes.size()));
+  h.Update(ByteSpan(key.public_key.bytes.data(), key.public_key.bytes.size()));
   h.Update(message);
   const Sha512Digest k_hash = h.Finish();
   const Scalar k = ScFromBytesModL(ByteSpan(k_hash.data(), k_hash.size()));
@@ -103,8 +112,13 @@ bool Verify(const PublicKey& public_key, ByteSpan message,
   std::array<std::uint8_t, 32> s_bytes;
   std::memcpy(s_bytes.data(), s_enc.data(), 32);
   const GePoint lhs =
-      GeDoubleScalarMultVartime(GeNeg(*a_point), ScToBytes(k), s_bytes);
+      GeDoubleScalarMultVartime(key.neg_a, ScToBytes(k), s_bytes);
   return GeEqual(lhs, *r_point);
+}
+
+bool Verify(const PublicKey& public_key, ByteSpan message,
+            const Signature& signature) {
+  return Verify(PrepareKey(public_key), message, signature);
 }
 
 }  // namespace vegvisir::crypto

@@ -15,12 +15,6 @@ struct GeCompleted {
   Fe x, y, z, t;
 };
 
-// Cached (Y + X, Y - X, 2Z, 2dT): an addend with the work that does
-// not depend on the other operand done once, e.g. per table entry.
-struct GeCached {
-  Fe y_plus_x, y_minus_x, z2, t2d;
-};
-
 GePoint ToExtended(const GeCompleted& p) {
   return GePoint{FeMul(p.x, p.t), FeMul(p.y, p.z), FeMul(p.z, p.t),
                  FeMul(p.x, p.y)};
@@ -75,19 +69,6 @@ GeCompleted Sub(const GePoint& p, const GeCached& q) {
 
 // ------------------------------------------------------ verification
 
-using OddMultiples = std::array<GeCached, 8>;
-
-// p, 3p, 5p, ..., 15p.
-OddMultiples OddMultiplesOf(const GePoint& p) {
-  OddMultiples out;
-  out[0] = ToCached(p);
-  const GePoint p2 = ToExtended(Double(p));
-  for (int i = 1; i < 8; ++i) {
-    out[i] = ToCached(ToExtended(Add(p2, out[i - 1])));
-  }
-  return out;
-}
-
 // Signed sliding-window recoding (ref10's slide): digits r[i] in
 // {0, +-1, +-3, ..., +-15} with sum r[i] 2^i == scalar, each nonzero
 // digit followed by at least four zeros. scalar < 2^253.
@@ -119,7 +100,8 @@ std::array<std::int8_t, 256> Slide(const std::array<std::uint8_t, 32>& a) {
   return r;
 }
 
-void AddDigit(GeCompleted* t, const OddMultiples& table, std::int8_t digit) {
+void AddDigit(GeCompleted* t, const GeOddMultiples& table,
+              std::int8_t digit) {
   if (digit == 0) return;
   const GePoint u = ToExtended(*t);
   *t = digit > 0 ? Add(u, table[digit / 2]) : Sub(u, table[-digit / 2]);
@@ -244,11 +226,20 @@ GePoint GeScalarMultBase(const std::array<std::uint8_t, 32>& scalar_le) {
   return h;
 }
 
-GePoint GeDoubleScalarMultVartime(const GePoint& a,
+GeOddMultiples GeOddMultiplesOf(const GePoint& p) {
+  GeOddMultiples out;
+  out[0] = ToCached(p);
+  const GePoint p2 = ToExtended(Double(p));
+  for (int i = 1; i < 8; ++i) {
+    out[i] = ToCached(ToExtended(Add(p2, out[i - 1])));
+  }
+  return out;
+}
+
+GePoint GeDoubleScalarMultVartime(const GeOddMultiples& a_table,
                                   const std::array<std::uint8_t, 32>& a_scalar,
                                   const std::array<std::uint8_t, 32>& b_scalar) {
-  static const OddMultiples b_table = OddMultiplesOf(GeBasePoint());
-  const OddMultiples a_table = OddMultiplesOf(a);
+  static const GeOddMultiples b_table = GeOddMultiplesOf(GeBasePoint());
   const auto a_digits = Slide(a_scalar);
   const auto b_digits = Slide(b_scalar);
 

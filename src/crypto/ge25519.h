@@ -28,6 +28,16 @@ struct GePoint {
   Fe x, y, z, t;
 };
 
+// Cached (Y + X, Y - X, 2Z, 2dT): an addend with the work that does
+// not depend on the other operand done once, e.g. per table entry.
+struct GeCached {
+  Fe y_plus_x, y_minus_x, z2, t2d;
+};
+
+// p, 3p, 5p, ..., 15p in cached form: the per-point table of the
+// joint sliding-window pass (one doubling and seven additions).
+using GeOddMultiples = std::array<GeCached, 8>;
+
 // The neutral element (0, 1).
 GePoint GeIdentity();
 
@@ -43,9 +53,14 @@ GePoint GeNeg(const GePoint& p);
 // fixed-base comb over a table of j * 16^(2i) * B built on first use.
 GePoint GeScalarMultBase(const std::array<std::uint8_t, 32>& scalar_le);
 
-// [a_scalar] * a + [b_scalar] * B for scalars below 2^253, in one
-// joint signed-sliding-window pass. Variable-time: public inputs only.
-GePoint GeDoubleScalarMultVartime(const GePoint& a,
+// The table of a for GeDoubleScalarMultVartime, built once per point
+// so a point multiplied often (a signer's key) pays for it once.
+GeOddMultiples GeOddMultiplesOf(const GePoint& p);
+
+// [a_scalar] * a + [b_scalar] * B for scalars below 2^253, a given by
+// GeOddMultiplesOf(a), in one joint signed-sliding-window pass.
+// Variable-time: public inputs only.
+GePoint GeDoubleScalarMultVartime(const GeOddMultiples& a_table,
                                   const std::array<std::uint8_t, 32>& a_scalar,
                                   const std::array<std::uint8_t, 32>& b_scalar);
 

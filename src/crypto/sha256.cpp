@@ -116,16 +116,20 @@ void Sha256::Update(ByteSpan data) {
 }
 
 Sha256Digest Sha256::Finish() {
-  const std::uint64_t bit_count = bit_count_;
-  const std::uint8_t pad = 0x80;
-  Update(ByteSpan(&pad, 1));
-  const std::uint8_t zero = 0x00;
-  while (buffer_len_ != 56) Update(ByteSpan(&zero, 1));
-  std::uint8_t len_bytes[8];
-  for (int i = 0; i < 8; ++i) {
-    len_bytes[i] = static_cast<std::uint8_t>(bit_count >> (56 - 8 * i));
+  // Pad in place: 0x80, zeros up to 56 mod 64, then the 64-bit
+  // big-endian message length in bits (one extra block if the 0x80
+  // leaves no room for the length).
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {
+    std::memset(buffer_ + buffer_len_, 0, 64 - buffer_len_);
+    Compress(buffer_);
+    buffer_len_ = 0;
   }
-  Update(ByteSpan(len_bytes, 8));
+  std::memset(buffer_ + buffer_len_, 0, 56 - buffer_len_);
+  for (int i = 0; i < 8; ++i) {
+    buffer_[56 + i] = static_cast<std::uint8_t>(bit_count_ >> (56 - 8 * i));
+  }
+  Compress(buffer_);
 
   Sha256Digest digest;
   for (int i = 0; i < 8; ++i) Store32(digest.data() + 4 * i, state_[i]);

@@ -137,16 +137,19 @@ void Sha512::Update(ByteSpan data) {
 }
 
 Sha512Digest Sha512::Finish() {
-  const std::uint64_t lo = bit_count_lo_;
-  const std::uint64_t hi = bit_count_hi_;
-  const std::uint8_t pad = 0x80;
-  Update(ByteSpan(&pad, 1));
-  const std::uint8_t zero = 0x00;
-  while (buffer_len_ != 112) Update(ByteSpan(&zero, 1));
-  std::uint8_t len_bytes[16];
-  Store64(len_bytes, hi);
-  Store64(len_bytes + 8, lo);
-  Update(ByteSpan(len_bytes, 16));
+  // Pad in place: 0x80, zeros up to 112 mod 128, then the 128-bit
+  // big-endian message length in bits (one extra block if the 0x80
+  // leaves no room for the length).
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 112) {
+    std::memset(buffer_ + buffer_len_, 0, 128 - buffer_len_);
+    Compress(buffer_);
+    buffer_len_ = 0;
+  }
+  std::memset(buffer_ + buffer_len_, 0, 112 - buffer_len_);
+  Store64(buffer_ + 112, bit_count_hi_);
+  Store64(buffer_ + 120, bit_count_lo_);
+  Compress(buffer_);
 
   Sha512Digest digest;
   for (int i = 0; i < 8; ++i) Store64(digest.data() + 8 * i, state_[i]);

@@ -30,10 +30,11 @@ Status Membership::Add(const chain::Certificate& cert,
     if (!(it->second.cert == cert) &&
         cert.Serialize() < it->second.cert.Serialize()) {
       it->second.cert = cert;
+      it->second.verify_key.reset();
     }
     return Status::Ok();
   }
-  by_user_.emplace(cert.user_id, Record{cert, false, {}});
+  by_user_.emplace(cert.user_id, Record{cert, nullptr, false, {}});
   return Status::Ok();
 }
 
@@ -65,6 +66,18 @@ const chain::Certificate* Membership::FindCertificate(
   const auto it = by_user_.find(user_id);
   if (it == by_user_.end()) return nullptr;
   return &it->second.cert;
+}
+
+std::shared_ptr<const crypto::PreparedKey> Membership::FindVerifyKey(
+    const std::string& user_id) const {
+  const auto it = by_user_.find(user_id);
+  if (it == by_user_.end()) return nullptr;
+  const Record& rec = it->second;
+  if (rec.verify_key == nullptr) {
+    rec.verify_key = std::make_shared<const crypto::PreparedKey>(
+        crypto::PrepareKey(rec.cert.public_key));
+  }
+  return rec.verify_key;
 }
 
 bool Membership::IsRevoked(const std::string& user_id) const {

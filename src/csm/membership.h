@@ -8,6 +8,7 @@
 #pragma once
 
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -39,6 +40,8 @@ class Membership final : public chain::MembershipView {
   // MembershipView:
   const chain::Certificate* FindCertificate(
       const std::string& user_id) const override;
+  std::shared_ptr<const crypto::PreparedKey> FindVerifyKey(
+      const std::string& user_id) const override;
   bool IsRevoked(const std::string& user_id) const override;
   std::vector<chain::BlockHash> RevocationBlocksOf(
       const std::string& user_id) const override;
@@ -64,6 +67,11 @@ class Membership final : public chain::MembershipView {
  private:
   struct Record {
     chain::Certificate cert;
+    // cert's key prepared for verification, built by the first
+    // FindVerifyKey rather than at enrolment: a node enrols every
+    // member up front but verifies most of them only later. Reset
+    // whenever cert changes. Only the owner thread calls FindVerifyKey.
+    mutable std::shared_ptr<const crypto::PreparedKey> verify_key;
     bool revoked = false;
     std::vector<chain::BlockHash> revocation_blocks;
   };

@@ -40,7 +40,9 @@ void BatchVerifier::Enqueue(std::vector<VerifyJob> jobs) {
     const util::MutexLock guard(mu_);
     for (VerifyJob& job : jobs) {
       const auto it = entries_.find(job.id);
-      if (it != entries_.end() && it->second.key == job.key) continue;
+      if (it != entries_.end() && it->second.key == job.key->public_key) {
+        continue;
+      }
       if (it == entries_.end()) {
         while (entries_.size() >= capacity_ && !fifo_.empty()) {
           // fifo_ can hold ids whose entry was already dropped by
@@ -51,7 +53,7 @@ void BatchVerifier::Enqueue(std::vector<VerifyJob> jobs) {
         fifo_.push_back(job.id);
       }
       Entry& entry = entries_[job.id];
-      entry.key = job.key;
+      entry.key = job.key->public_key;
       entry.gen = ++gen_counter_;
       entry.done = false;
       entry.valid = false;
@@ -65,7 +67,7 @@ void BatchVerifier::Enqueue(std::vector<VerifyJob> jobs) {
   }
   for (Pending& pending : fresh) {
     auto run = [this, job = std::move(pending.job), gen = pending.gen] {
-      const bool valid = crypto::Verify(job.key, job.message, job.signature);
+      const bool valid = crypto::Verify(*job.key, job.message, job.signature);
       Record(job.id, gen, valid);
     };
     if (pool_ != nullptr) {

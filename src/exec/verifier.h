@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -40,7 +41,9 @@ using ContentId = std::array<std::uint8_t, 32>;
 // the job is still queued).
 struct VerifyJob {
   ContentId id{};
-  crypto::PublicKey key{};
+  // Shared with membership, which prepares each signer's key once;
+  // the verdict is cached under key->public_key.
+  std::shared_ptr<const crypto::PreparedKey> key;
   Bytes message;
   crypto::Signature signature{};
 };

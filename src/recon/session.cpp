@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <utility>
 
 #include "serial/limits.h"
 #include "util/bloom.h"
@@ -38,6 +39,7 @@ SessionMetrics SessionMetrics::Resolve(telemetry::Telemetry* sink,
   m.final_level = reg.GetHistogram(prefix + "final_level",
                                    telemetry::PowerOfTwoBounds(10));
   m.level_cap_hit = reg.GetCounter(prefix + "level_cap_hit");
+  m.blocks_skipped = reg.GetCounter("recon.initiator.blocks_skipped");
   m.setdiff_probes = reg.GetCounter("setdiff.probes");
   m.setdiff_sketches_sent = reg.GetCounter("setdiff.sketches_sent");
   m.setdiff_sketch_bytes = reg.GetCounter("setdiff.sketch_bytes");
@@ -206,9 +208,67 @@ Status InitiatorSession::OnMessage(ByteSpan data, std::vector<Bytes>* out) {
   return s;
 }
 
-Status InitiatorSession::StashBlocks(const std::vector<Bytes>& blocks) {
+namespace {
+
+// An advertised block the host stores, keyed by its signature: the
+// last 64 bytes of a canonical block encoding.
+using HeldBlock = std::pair<crypto::Signature, const chain::Block*>;
+
+bool BySignature(const HeldBlock& a, const HeldBlock& b) {
+  return a.first < b.first;
+}
+
+std::vector<HeldBlock> IndexHeldBlocks(
+    const chain::Dag& dag, const std::vector<chain::BlockHash>& hashes) {
+  std::vector<HeldBlock> held;
+  for (const chain::BlockHash& h : hashes) {
+    // Evicted bodies (Find == null) are not indexed; theirs decode.
+    if (const chain::Block* block = dag.Find(h)) {
+      held.emplace_back(block->signature(), block);
+    }
+  }
+  std::sort(held.begin(), held.end(), BySignature);
+  return held;
+}
+
+// True iff `raw` is byte-identical to the encoding of a held block.
+bool IsHeldBody(const std::vector<HeldBlock>& held, const Bytes& raw) {
+  if (held.empty() || raw.size() < crypto::kEd25519SignatureSize) return false;
+  HeldBlock key{};
+  std::copy(raw.end() - crypto::kEd25519SignatureSize, raw.end(),
+            key.first.bytes.begin());
+  const auto [lo, hi] =
+      std::equal_range(held.begin(), held.end(), key, BySignature);
+  for (auto it = lo; it != hi; ++it) {
+    const chain::Block* block = it->second;
+    if (block->EncodedSize() == raw.size() && block->Serialize() == raw) {
+      return true;
+    }
+  }
+  return false;
+}
+
+}  // namespace
+
+Status InitiatorSession::StashBlocks(
+    const std::vector<Bytes>& blocks,
+    const std::vector<chain::BlockHash>& advertised) {
+  // Algorithm 1 re-sends the whole level-n set every round, so most
+  // bodies are ones the DAG already stores. A body byte-identical to
+  // a held block's encoding is that block, with no cryptographic
+  // assumption: it is counted as received but skips the decode, the
+  // SHA-256 of its bytes and the copy, exactly as the decode-then-
+  // HasBlock path would have dropped it. Every other body decodes.
+  const std::vector<HeldBlock> held =
+      IndexHeldBlocks(host_->dag(), advertised);
   std::vector<const chain::Block*> fresh;
   for (const Bytes& raw : blocks) {
+    if (IsHeldBody(held, raw)) {
+      stats_.blocks_received += 1;
+      metrics_.blocks_received.Inc();
+      metrics_.blocks_skipped.Inc();
+      continue;
+    }
     auto block = chain::Block::Deserialize(raw);
     if (!block.ok()) return block.status();
     stats_.blocks_received += 1;
@@ -316,7 +376,7 @@ Status InitiatorSession::HandleFrontierResponse(ByteSpan data,
     // claim to have. Usually that closes the gap in one round; Bloom
     // false positives may leave holes, in which case we fall back to
     // hash-first escalation.
-    VEGVISIR_RETURN_IF_ERROR(StashBlocks(resp.blocks));
+    VEGVISIR_RETURN_IF_ERROR(StashBlocks(resp.blocks, resp.hashes));
     if (TryMerge() && CaughtUp()) {
       FinishMaybePush(out);
       return Status::Ok();
@@ -351,7 +411,7 @@ Status InitiatorSession::HandleFrontierResponse(ByteSpan data,
   }
 
   // Block-push mode: bodies arrive with the response.
-  VEGVISIR_RETURN_IF_ERROR(StashBlocks(resp.blocks));
+  VEGVISIR_RETURN_IF_ERROR(StashBlocks(resp.blocks, resp.hashes));
   if (TryMerge() && CaughtUp()) {
     FinishMaybePush(out);
     return Status::Ok();
@@ -467,7 +527,7 @@ Status InitiatorSession::HandleBlockResponse(ByteSpan data,
       metrics_.CountDecodeReject(s);
       return s;
     }
-    VEGVISIR_RETURN_IF_ERROR(StashBlocks(resp.blocks));
+    VEGVISIR_RETURN_IF_ERROR(StashBlocks(resp.blocks, {}));
     if (TryMerge() && CaughtUp()) {
       FinishMaybePush(out);
       return Status::Ok();
@@ -484,7 +544,7 @@ Status InitiatorSession::HandleBlockResponse(ByteSpan data,
     metrics_.CountDecodeReject(s);
     return s;
   }
-  VEGVISIR_RETURN_IF_ERROR(StashBlocks(resp.blocks));
+  VEGVISIR_RETURN_IF_ERROR(StashBlocks(resp.blocks, {}));
   if (TryMerge() && CaughtUp()) {
     FinishMaybePush(out);
     return Status::Ok();

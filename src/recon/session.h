@@ -150,6 +150,10 @@ struct SessionMetrics {
   // Escalation gave up at the configured max_level with the gap still
   // open (the silent-failure case; surfaced in chain_inspect metrics).
   telemetry::Counter level_cap_hit;
+  // Received bodies byte-identical to a block the DAG already stores,
+  // counted without being decoded (initiator only; a global name like
+  // the setdiff.* legs below).
+  telemetry::Counter blocks_skipped;
   // setdiff negotiation (global setdiff.* names, not per-side: the
   // probe/decode legs are initiator-only and the sketch legs
   // responder-only, so per-side copies would just be zeros).
@@ -221,7 +225,12 @@ class InitiatorSession {
   // a DiffResult for this attempt was already sent).
   Status FallBackToLevels(std::vector<Bytes>* out, bool notify);
   Status HandleBlockResponse(ByteSpan data, std::vector<Bytes>* out);
-  Status StashBlocks(const std::vector<Bytes>& blocks);
+  // Decodes and stashes received bodies. `advertised` is the hash
+  // list of the response that carried them; bodies of advertised
+  // blocks the DAG already stores are recognised by their bytes and
+  // not decoded (see the .cpp).
+  Status StashBlocks(const std::vector<Bytes>& blocks,
+                     const std::vector<chain::BlockHash>& advertised);
   // Merges the stash into the DAG (fixpoint). Returns true if every
   // stashed block was resolved (inserted / duplicate / rejected);
   // false if some still miss parents (they are handed to the host's

@@ -45,6 +45,9 @@ class Writer {
     Append(&buffer_, ByteSpan(data.data(), data.size()));
   }
 
+  // Capacity hint for an encoding whose size is known in advance.
+  void Reserve(std::size_t bytes) { buffer_.reserve(bytes); }
+
   const Bytes& buffer() const { return buffer_; }
   Bytes Take() { return std::move(buffer_); }
 

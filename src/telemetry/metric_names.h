@@ -85,6 +85,9 @@ inline constexpr std::string_view kCounters[] = {
     "recon.initiator.blocks_inserted",
     "recon.initiator.blocks_pushed",
     "recon.initiator.blocks_received",
+    // Bodies byte-identical to a stored block, counted in
+    // blocks_received but never decoded (initiator-only leg).
+    "recon.initiator.blocks_skipped",
     "recon.initiator.bytes_received",
     "recon.initiator.bytes_sent",
     // Escalation hit the configured max_level with the gap still open

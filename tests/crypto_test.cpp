@@ -141,6 +141,81 @@ TEST(Sha512Test, IncrementalMatchesOneShot) {
   }
 }
 
+// Digests across every padding layout (the 0x80 byte and the length
+// in one block or spilling into a second), for the message whose byte
+// i is i * 31 + 7. Computed with the byte-at-a-time padding the
+// one-tail Finish replaced.
+struct PaddingGolden {
+  std::size_t len;
+  const char* sha256;
+  const char* sha512;
+};
+
+constexpr PaddingGolden kPaddingGoldens[] = {
+    {0,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "cf83e1357eefb8bdf1542850d66d8007d620e4050b5715dc83f4a921d36ce9ce"
+     "47d0d13c5d85f2b0ff8318d2877eec2f63b931bd47417a81a538327af927da3e"},
+    {55,
+     "8aa994584139d128848eeebc4e815639ba5ab6e6e39574195a63ac4f14f7c43b",
+     "330eb5e81b4d722cae1e0efbf883efb180c3e346d2b3b797dafc90409583ed35"
+     "af65dc2d7974a353f0c21663e196b60d3ee5a2c70c50b7b3bccdb93a5dbce6bf"},
+    {56,
+     "ad574708f75c044c9b85de64cb568ee7711ff4f36448c6242f053ba8f6cc2b63",
+     "1b5b63bfd5420b2dc480abce3dbdb3e19e5f9d4fabffba7764883937eaae878a"
+     "55362c938c141712c44c3076c3fabb2c60814c2994c311c33049a8d6de2a8898"},
+    {63,
+     "280ed3e8ff1df845b2e7dfe6ac6cee817bef20e783cc65abc41b818b4d2fe076",
+     "b16f76c30db64b5ee1ef166d2d37e13ff6cee9fd88bae9ba283cd58e0a2133b2"
+     "20a76db56279406461f84ce2cffd1d116d38fd9f38fc5df18770a987ff695499"},
+    {64,
+     "c6ab9724ade5b6a7a1edfffb12f3aa9181351355af8fd08c919952ad211339dd",
+     "4c7aba3659929c4fd87604c532a3b5f174d0626b2d661dbbbfac76c97a49a5a7"
+     "789d2c68324c754f66bf629fa72054f334feaad8b1cf4c885ae03a1e634afc18"},
+    {111,
+     "dd1413178fb627f9abbc041ffe39c44aa7aaa0e2e6d2ca5c4528ac7073a2da45",
+     "da780d8338a8a920ceb6892cb4ecbb0cc0c66956269aadd5dd0f48790a00857b"
+     "d975890f3b2955a317738cc7a770820c29f922ffbc22020f1909d594cc987d1b"},
+    {112,
+     "a65c92dac124062d0ab951a42773cb04fc98d1d4bf8897b176f8cff3509d379e",
+     "053182f7fa4e59f8636e415a77ed4fdc650f0a43834c9d35adf899599c3ab9c4"
+     "153f02ff50bd01888060cd36a6fa12d9db242fc35164c80135613514186d5843"},
+    {127,
+     "192409cd280e14b743642ad1343fbd3e82d9305de72c078117745a679210cc3d",
+     "a7a75593826fd37d4e60f6101eabb9f8ab1cf4d5319ebc805266d5da8deb5097"
+     "de1a235fc5d9d3d73c50ac100ffc75089fb454674ab61232091bd19cbdc67396"},
+    {128,
+     "cc548ca2dec1f6fe4f58b2e27aa9c7521607df1130d140b55a4dad0665302356",
+     "df007a08f3aaae47e0c92ef840ecd43645ae6098c819f2a4a66174ef1cd49e5c"
+     "6dfccf0616895e570b7564af641de5863dff9f89c752913d30cf0ecf678e1635"},
+    {1000,
+     "5097e7d587352f5097062ae679f37bda5802d9f875aba14c8cb4d1a188ada179",
+     "b41d42e106eca6bf57123566b7ed1550c37d33af23afbfa8e302dfd44c988b30"
+     "03a26b4140ef42f535e66ea424e7c4a31616307269e6d520a6508f726da23d0a"},
+};
+
+Bytes PaddingGoldenMessage(std::size_t len) {
+  Bytes msg(len);
+  for (std::size_t i = 0; i < len; ++i) {
+    msg[i] = static_cast<std::uint8_t>(i * 31 + 7);
+  }
+  return msg;
+}
+
+TEST(Sha256Test, PaddingLayoutsMatchGoldens) {
+  for (const PaddingGolden& g : kPaddingGoldens) {
+    const Bytes msg = PaddingGoldenMessage(g.len);
+    EXPECT_EQ(DigestHex(Sha256::Hash(msg)), g.sha256) << g.len;
+  }
+}
+
+TEST(Sha512Test, PaddingLayoutsMatchGoldens) {
+  for (const PaddingGolden& g : kPaddingGoldens) {
+    const Bytes msg = PaddingGoldenMessage(g.len);
+    EXPECT_EQ(DigestHex(Sha512::Hash(msg)), g.sha512) << g.len;
+  }
+}
+
 // ------------------------------------------------------------- HMAC-SHA256
 
 TEST(HmacTest, Rfc4231Case1) {
@@ -768,7 +843,8 @@ TEST(Ge25519Test, DoubleScalarMultMatchesLadder) {
       const auto kb = i == 1 ? zero : random_scalar();
       const GePoint expect = GeAdd(oracle::LadderMult(a, ka),
                                    oracle::LadderMult(GeBasePoint(), kb));
-      EXPECT_TRUE(GeEqual(GeDoubleScalarMultVartime(a, ka, kb), expect));
+      EXPECT_TRUE(GeEqual(
+          GeDoubleScalarMultVartime(GeOddMultiplesOf(a), ka, kb), expect));
     }
   }
 }
@@ -1088,12 +1164,16 @@ TEST(Ed25519VerdictTest, CrossProductMatchesGoldenTable) {
   for (const Bytes& a : points) {
     PublicKey pk;
     std::memcpy(pk.bytes.data(), a.data(), 32);
+    // One prepared key serves all 160 (R, s) pairs under this A.
+    const PreparedKey prepared = PrepareKey(pk);
     for (const Bytes& r : points) {
       for (const Bytes& s : scalars) {
         Signature sig;
         std::memcpy(sig.bytes.data(), r.data(), 32);
         std::memcpy(sig.bytes.data() + 32, s.data(), 32);
-        if (Verify(pk, msg, sig)) {
+        const bool verdict = Verify(pk, msg, sig);
+        EXPECT_EQ(Verify(prepared, msg, sig), verdict) << idx;
+        if (verdict) {
           bits[idx / 8] |= static_cast<std::uint8_t>(1u << (idx % 8));
           ++accepted;
         }
@@ -1103,6 +1183,31 @@ TEST(Ed25519VerdictTest, CrossProductMatchesGoldenTable) {
   }
   EXPECT_EQ(ToHex(bits), kGolden);
   EXPECT_EQ(accepted, 22u);
+}
+
+TEST(Ed25519PreparedKeyTest, UndecodableKeyVerifiesNothing) {
+  // Identity with the sign bit set is not a point encoding; nor is a
+  // y with no square root for x.
+  const KeyPair kp = SeededKey(0x33);
+  const Bytes msg = BytesOf("message");
+  const Signature sig = kp.Sign(msg);
+  for (const char* hex : {
+           "0100000000000000000000000000000000000000000000000000000000000080",
+           "0200000000000000000000000000000000000000000000000000000000000000",
+       }) {
+    PublicKey pk;
+    const Bytes enc = MustFromHex(hex);
+    std::memcpy(pk.bytes.data(), enc.data(), 32);
+    ASSERT_FALSE(GeDecompress(enc).has_value()) << hex;
+    const PreparedKey prepared = PrepareKey(pk);
+    EXPECT_FALSE(prepared.valid) << hex;
+    EXPECT_EQ(prepared.public_key, pk);
+    EXPECT_FALSE(Verify(prepared, msg, sig)) << hex;
+    EXPECT_FALSE(Verify(pk, msg, sig)) << hex;
+  }
+  const PreparedKey honest = PrepareKey(kp.public_key());
+  EXPECT_TRUE(honest.valid);
+  EXPECT_TRUE(Verify(honest, msg, sig));
 }
 
 TEST(Ed25519DifferentialTest, VerifyMatchesLadderOracle) {
@@ -1142,6 +1247,7 @@ TEST(Ed25519DifferentialTest, VerifyMatchesLadderOracle) {
     const bool got = Verify(pk, msg, sig);
     ASSERT_EQ(got, oracle::LadderVerify(pk.bytes, msg, sig.bytes))
         << "case " << i;
+    ASSERT_EQ(Verify(PrepareKey(pk), msg, sig), got) << "case " << i;
     accepted += got ? 1 : 0;
   }
   EXPECT_EQ(accepted, 2000);

@@ -131,6 +131,31 @@ TEST_F(MembershipTest, EnrollAndRevoke) {
   EXPECT_NE(membership_.FindCertificate("alice"), nullptr);
 }
 
+TEST_F(MembershipTest, VerifyKeyFollowsTheCertificate) {
+  EXPECT_EQ(membership_.FindVerifyKey("alice"), nullptr);
+  ASSERT_TRUE(membership_.Add(OwnerCert(), src_).ok());
+  ASSERT_TRUE(membership_.Add(AliceCert(), src_).ok());
+  const auto key = membership_.FindVerifyKey("alice");
+  ASSERT_NE(key, nullptr);
+  EXPECT_EQ(key->public_key, AliceCert().public_key);
+  EXPECT_TRUE(key->valid);
+  EXPECT_EQ(membership_.FindVerifyKey("alice"), key);  // built once
+
+  // A second CA-signed certificate for alice that sorts first
+  // replaces the first, and the prepared key goes with it.
+  const Certificate first = AliceCert();
+  Certificate other = first;
+  for (std::uint64_t seed = 20;; ++seed) {
+    other = chain::IssueCertificate("alice", TestKeys(seed).public_key(),
+                                    "medic", owner_);
+    if (other.Serialize() < first.Serialize()) break;
+  }
+  ASSERT_TRUE(membership_.Add(other, src_).ok());
+  ASSERT_EQ(membership_.FindCertificate("alice")->public_key,
+            other.public_key);
+  EXPECT_EQ(membership_.FindVerifyKey("alice")->public_key, other.public_key);
+}
+
 TEST_F(MembershipTest, RevokeBeforeAddIsPermanent) {
   ASSERT_TRUE(membership_.Add(OwnerCert(), src_).ok());
   BlockHash rev{};

@@ -158,7 +158,8 @@ SignedJob MakeSignedJob(std::uint64_t seed, const std::string& text) {
   crypto::Drbg drbg(seed);
   SignedJob out{.job = {}, .keys = crypto::KeyPair::Generate(drbg)};
   out.job.id.fill(static_cast<std::uint8_t>(seed));
-  out.job.key = out.keys.public_key();
+  out.job.key = std::make_shared<const crypto::PreparedKey>(
+      crypto::PrepareKey(out.keys.public_key()));
   out.job.message.assign(text.begin(), text.end());
   out.job.signature = out.keys.Sign(ByteSpan(out.job.message));
   return out;
@@ -174,8 +175,8 @@ TEST(BatchVerifierTest, VerdictsMatchSynchronousVerifyAtEveryWidth) {
     SignedJob bad = MakeSignedJob(2, "tampered");
     bad.job.signature.bytes[0] ^= 0x01;
     verifier.Enqueue({good.job, bad.job});
-    const auto good_verdict = verifier.Lookup(good.job.id, good.job.key);
-    const auto bad_verdict = verifier.Lookup(bad.job.id, bad.job.key);
+    const auto good_verdict = verifier.Lookup(good.job.id, good.job.key->public_key);
+    const auto bad_verdict = verifier.Lookup(bad.job.id, bad.job.key->public_key);
     ASSERT_TRUE(good_verdict.has_value());
     EXPECT_TRUE(*good_verdict);
     ASSERT_TRUE(bad_verdict.has_value());
@@ -193,8 +194,8 @@ TEST(BatchVerifierTest, KeyMismatchMissesInsteadOfLying) {
   const crypto::PublicKey other = crypto::KeyPair::Generate(drbg).public_key();
   EXPECT_FALSE(verifier.Lookup(entry.job.id, other).has_value());
   EXPECT_FALSE(verifier.Cached(entry.job.id, other));
-  EXPECT_TRUE(verifier.Cached(entry.job.id, entry.job.key));
-  EXPECT_TRUE(verifier.Lookup(entry.job.id, entry.job.key).has_value());
+  EXPECT_TRUE(verifier.Cached(entry.job.id, entry.job.key->public_key));
+  EXPECT_TRUE(verifier.Lookup(entry.job.id, entry.job.key->public_key).has_value());
 }
 
 TEST(BatchVerifierTest, ForgetConsumesTheEntry) {
@@ -204,7 +205,7 @@ TEST(BatchVerifierTest, ForgetConsumesTheEntry) {
   EXPECT_EQ(verifier.SizeForTest(), 1U);
   verifier.Forget(entry.job.id);
   EXPECT_EQ(verifier.SizeForTest(), 0U);
-  EXPECT_FALSE(verifier.Lookup(entry.job.id, entry.job.key).has_value());
+  EXPECT_FALSE(verifier.Lookup(entry.job.id, entry.job.key->public_key).has_value());
 }
 
 TEST(BatchVerifierTest, CapacityEvictsOldestFirst) {
@@ -215,10 +216,10 @@ TEST(BatchVerifierTest, CapacityEvictsOldestFirst) {
     verifier.Enqueue({jobs.back().job});
   }
   EXPECT_EQ(verifier.SizeForTest(), 4U);
-  EXPECT_FALSE(verifier.Cached(jobs[0].job.id, jobs[0].job.key));
-  EXPECT_FALSE(verifier.Cached(jobs[1].job.id, jobs[1].job.key));
+  EXPECT_FALSE(verifier.Cached(jobs[0].job.id, jobs[0].job.key->public_key));
+  EXPECT_FALSE(verifier.Cached(jobs[1].job.id, jobs[1].job.key->public_key));
   for (std::size_t i = 2; i < jobs.size(); ++i) {
-    EXPECT_TRUE(verifier.Cached(jobs[i].job.id, jobs[i].job.key));
+    EXPECT_TRUE(verifier.Cached(jobs[i].job.id, jobs[i].job.key->public_key));
   }
 }
 
@@ -230,7 +231,7 @@ TEST(BatchVerifierTest, ReEnqueueUnderSameKeyIsDeduplicated) {
   verifier.Enqueue({entry.job});  // quarantine re-sweep hits the cache
   EXPECT_EQ(sink.metrics.CounterValue("exec.batch_jobs"), 1U);
   EXPECT_EQ(sink.metrics.CounterValue("exec.batches"), 1U);
-  ASSERT_TRUE(verifier.Lookup(entry.job.id, entry.job.key).has_value());
+  ASSERT_TRUE(verifier.Lookup(entry.job.id, entry.job.key->public_key).has_value());
   EXPECT_EQ(sink.metrics.CounterValue("exec.presig_hits"), 1U);
 }
 

@@ -394,7 +394,7 @@ TEST(IntegrationTest, NetworkRefetchOfEvictedBody) {
   EXPECT_NE(cluster.node(0).dag().Find(*h1), nullptr);
 }
 
-// All three reconciliation modes drive a gossiping cluster to
+// Every reconciliation mode drives a gossiping cluster to
 // convergence (the gossip engine is mode-agnostic).
 class ReconModeClusterTest
     : public ::testing::TestWithParam<recon::ReconConfig::Mode> {};
@@ -419,12 +419,14 @@ INSTANTIATE_TEST_SUITE_P(
     Modes, ReconModeClusterTest,
     ::testing::Values(recon::ReconConfig::Mode::kBlockPush,
                       recon::ReconConfig::Mode::kHashFirst,
-                      recon::ReconConfig::Mode::kBloom),
+                      recon::ReconConfig::Mode::kBloom,
+                      recon::ReconConfig::Mode::kSetDiff),
     [](const ::testing::TestParamInfo<recon::ReconConfig::Mode>& info) {
       switch (info.param) {
         case recon::ReconConfig::Mode::kBlockPush: return "BlockPush";
         case recon::ReconConfig::Mode::kHashFirst: return "HashFirst";
         case recon::ReconConfig::Mode::kBloom: return "Bloom";
+        case recon::ReconConfig::Mode::kSetDiff: return "SetDiff";
       }
       return "Unknown";
     });

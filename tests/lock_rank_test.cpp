@@ -62,7 +62,8 @@ SignedJob MakeSignedJob(std::uint64_t seed, const std::string& text) {
   crypto::Drbg drbg(seed);
   SignedJob out{.job = {}, .keys = crypto::KeyPair::Generate(drbg)};
   out.job.id.fill(static_cast<std::uint8_t>(seed));
-  out.job.key = out.keys.public_key();
+  out.job.key = std::make_shared<const crypto::PreparedKey>(
+      crypto::PrepareKey(out.keys.public_key()));
   out.job.message.assign(text.begin(), text.end());
   out.job.signature = out.keys.Sign(ByteSpan(out.job.message));
   return out;
@@ -186,12 +187,12 @@ TEST(LockRankTest, VerifierLookupUnderNodeSideMutexIsFlagged) {
   const SignedJob entry = MakeSignedJob(7, "held-lock regression");
   verifier.Enqueue({entry.job});
   EXPECT_EQ(capture.count(), 0);  // lock-free enqueue is legal
-  ASSERT_TRUE(verifier.Lookup(entry.job.id, entry.job.key).has_value());
+  ASSERT_TRUE(verifier.Lookup(entry.job.id, entry.job.key->public_key).has_value());
   EXPECT_EQ(capture.count(), 0);  // lock-free lookup is legal
   util::Mutex serial_sweep{LockRank::kStorageEngine};
   {
     const util::MutexLock guard(serial_sweep);
-    (void)verifier.Lookup(entry.job.id, entry.job.key);
+    (void)verifier.Lookup(entry.job.id, entry.job.key->public_key);
     EXPECT_EQ(capture.count(), 1);
     verifier.Enqueue({entry.job});
     EXPECT_EQ(capture.count(), 2);
@@ -310,7 +311,7 @@ std::uint64_t RunStorm(unsigned threads) {
     EXPECT_EQ(touched.load(), 256U);
     // ...and the serial sweep consumes the verdicts, lock-free.
     for (const exec::VerifyJob& job : jobs) {
-      const auto verdict = verifier.Lookup(job.id, job.key);
+      const auto verdict = verifier.Lookup(job.id, job.key->public_key);
       EXPECT_TRUE(verdict.has_value() && *verdict);
     }
   }

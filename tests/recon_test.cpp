@@ -674,5 +674,158 @@ TEST(SessionTest, ResponderClampsAbsurdFrontierLevel) {
   EXPECT_EQ(resp.hashes.size(), a->dag().Size());
 }
 
+// ------------------------------------------ held-body skip (block push)
+
+// Delegates to a node and records what a session hands it.
+class RecordingHost : public ReconHost {
+ public:
+  explicit RecordingHost(node::Node* node) : node_(node) {}
+
+  const chain::Dag& dag() const override { return node_->dag(); }
+  chain::BlockVerdict OfferBlock(const Block& block) override {
+    const chain::BlockVerdict verdict = node_->OfferBlock(block);
+    offered.emplace_back(block.hash(), verdict);
+    return verdict;
+  }
+  bool HasBlock(const BlockHash& h) const override {
+    return node_->HasBlock(h);
+  }
+  telemetry::Telemetry* telemetry() const override {
+    return node_->telemetry();
+  }
+  void PreverifyBlocks(const std::vector<const Block*>& blocks) override {
+    for (const Block* block : blocks) preverified.push_back(block->hash());
+    node_->PreverifyBlocks(blocks);
+  }
+
+  std::vector<std::pair<BlockHash, chain::BlockVerdict>> offered;
+  std::vector<BlockHash> preverified;
+
+ private:
+  node::Node* node_;
+};
+
+// The initiator `a` holds block x; the responder `b` holds x and its
+// child y. Each test hands one block-push frontier response to a
+// fresh initiator session on `a`.
+class SessionHeldBodyTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    const auto hx = b_->AddWitnessBlock();
+    ASSERT_TRUE(hx.ok());
+    x_ = *b_->dag().Find(*hx);
+    const auto hy = b_->AddWitnessBlock();
+    ASSERT_TRUE(hy.ok());
+    y_ = *b_->dag().Find(*hy);
+    ASSERT_EQ(a_->OfferBlock(x_), chain::BlockVerdict::kValid);
+  }
+
+  Status Deliver(const std::vector<BlockHash>& hashes,
+                 const std::vector<Bytes>& bodies) {
+    FrontierResponse resp;
+    resp.level = 1;
+    resp.genesis = a_->dag().genesis_hash();
+    resp.hashes = hashes;
+    resp.blocks = bodies;
+    (void)session_.Start();
+    std::vector<Bytes> out;
+    return session_.OnMessage(EncodeMessage(resp), &out);
+  }
+
+  std::uint64_t Skipped() const {
+    return a_->telemetry()->metrics.CounterValue(
+        "recon.initiator.blocks_skipped");
+  }
+
+  // The first position outside the trailing signature where flipping
+  // every bit of one byte of x's encoding does (or does not) decode.
+  Bytes FlippedX(bool decodable) const {
+    const Bytes raw = x_.Serialize();
+    for (std::size_t i = 0; i + crypto::kEd25519SignatureSize < raw.size();
+         ++i) {
+      Bytes mutant = raw;
+      mutant[i] ^= 0xff;
+      if (Block::Deserialize(mutant).ok() == decodable) return mutant;
+    }
+    ADD_FAILURE() << "no such flip";
+    return raw;
+  }
+
+  Cluster c_;
+  std::unique_ptr<node::Node> a_ = c_.MakeNode("owner", 1);
+  std::unique_ptr<node::Node> b_ = c_.MakeNode("owner", 1);
+  RecordingHost host_{a_.get()};
+  InitiatorSession session_{&host_, ReconConfig{}};
+  Block x_;
+  Block y_;
+};
+
+TEST_F(SessionHeldBodyTest, ByteIdenticalHeldBodyIsCountedNotDecoded) {
+  ASSERT_TRUE(
+      Deliver({y_.hash(), x_.hash()}, {y_.Serialize(), x_.Serialize()}).ok());
+  EXPECT_EQ(session_.state(), SessionState::kDone);
+  EXPECT_EQ(session_.stats().blocks_received, 2u);
+  EXPECT_EQ(session_.stats().blocks_inserted, 1u);
+  EXPECT_EQ(Skipped(), 1u);
+  // Only y was stashed: pre-verified and offered.
+  EXPECT_EQ(host_.preverified, std::vector<BlockHash>{y_.hash()});
+  ASSERT_EQ(host_.offered.size(), 1u);
+  EXPECT_EQ(host_.offered[0].first, y_.hash());
+  EXPECT_EQ(host_.offered[0].second, chain::BlockVerdict::kValid);
+}
+
+TEST_F(SessionHeldBodyTest, HeldSignatureWithAFlippedByteStillDecodes) {
+  // Same trailing signature as x, different bytes: not x, so it takes
+  // the decode path and gets whatever verdict the decoded block gets.
+  const Bytes mutant = FlippedX(/*decodable=*/true);
+  const auto decoded = Block::Deserialize(mutant);
+  ASSERT_TRUE(decoded.ok());
+  auto twin = c_.MakeNode("owner", 1);
+  ASSERT_EQ(twin->OfferBlock(x_), chain::BlockVerdict::kValid);
+  const chain::BlockVerdict expected = twin->OfferBlock(*decoded);
+
+  ASSERT_TRUE(Deliver({x_.hash()}, {mutant}).ok());
+  EXPECT_EQ(Skipped(), 0u);
+  EXPECT_EQ(session_.stats().blocks_received, 1u);
+  EXPECT_EQ(host_.preverified, std::vector<BlockHash>{decoded->hash()});
+  ASSERT_EQ(host_.offered.size(), 1u);
+  EXPECT_EQ(host_.offered[0].first, decoded->hash());
+  EXPECT_EQ(host_.offered[0].second, expected);
+  EXPECT_FALSE(a_->dag().Contains(decoded->hash()));
+}
+
+TEST_F(SessionHeldBodyTest, HeldSignatureWithAnUndecodableFlipFailsAsBefore) {
+  const Bytes mutant = FlippedX(/*decodable=*/false);
+  const Status expected = Block::Deserialize(mutant).status();
+  const Status s = Deliver({x_.hash()}, {mutant});
+  EXPECT_EQ(s.ToString(), expected.ToString());
+  EXPECT_EQ(session_.state(), SessionState::kFailed);
+  EXPECT_EQ(session_.stats().blocks_received, 0u);
+  EXPECT_EQ(Skipped(), 0u);
+}
+
+TEST_F(SessionHeldBodyTest, EvictedHeldBodyFallsThroughToDecode) {
+  ASSERT_EQ(a_->OfferBlock(y_), chain::BlockVerdict::kValid);
+  ASSERT_TRUE(a_->mutable_dag()->Evict(x_.hash()).ok());
+  ASSERT_EQ(a_->dag().Find(x_.hash()), nullptr);
+  ASSERT_TRUE(
+      Deliver({y_.hash(), x_.hash()}, {y_.Serialize(), x_.Serialize()}).ok());
+  EXPECT_EQ(session_.state(), SessionState::kDone);
+  EXPECT_EQ(session_.stats().blocks_received, 2u);
+  EXPECT_EQ(Skipped(), 1u);  // y only; x's stub has no body to compare
+  EXPECT_TRUE(host_.preverified.empty());
+  EXPECT_TRUE(host_.offered.empty());
+}
+
+TEST_F(SessionHeldBodyTest, MalformedBodyAfterASkippedOneFailsTheSession) {
+  const Bytes garbage{0x01, 0x02};
+  const Status expected = Block::Deserialize(garbage).status();
+  const Status s = Deliver({x_.hash()}, {x_.Serialize(), garbage});
+  EXPECT_EQ(s.ToString(), expected.ToString());
+  EXPECT_EQ(session_.state(), SessionState::kFailed);
+  EXPECT_EQ(session_.stats().blocks_received, 1u);
+  EXPECT_EQ(Skipped(), 1u);
+}
+
 }  // namespace
 }  // namespace vegvisir::recon

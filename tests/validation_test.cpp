@@ -203,7 +203,8 @@ TEST(ValidationTest, PresigKeyMismatchFallsBackToSyncVerify) {
   exec::BatchVerifier presig(nullptr, nullptr);
   exec::VerifyJob stale;
   stale.id = b.hash();
-  stale.key = TestKeys(9).public_key();
+  stale.key = std::make_shared<const crypto::PreparedKey>(
+      crypto::PrepareKey(TestKeys(9).public_key()));
   stale.message = b.SigningPayload();
   stale.signature = b.signature();
   presig.Enqueue({stale});
