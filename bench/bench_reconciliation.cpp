@@ -128,8 +128,6 @@ const char* StrategyName(recon::ReconConfig::Mode mode) {
       return "paper";
     case recon::ReconConfig::Mode::kHashFirst:
       return "hashfirst";
-    case recon::ReconConfig::Mode::kBloom:
-      return "bloom";
     case recon::ReconConfig::Mode::kSetDiff:
       return "setdiff";
   }
@@ -267,9 +265,9 @@ int main() {
   constexpr int kShared = 64;
   std::printf("E1/E10: reconciliation cost, shared history = %d blocks\n",
               kShared);
-  std::printf("%-6s %-6s | %12s | %12s %7s | %12s %7s | %12s %7s\n", "shape",
-              "d", "full-dag B", "block-push B", "rounds", "hash-first B",
-              "rounds", "bloom B", "rounds");
+  std::printf("%-6s %-6s | %12s | %12s %7s | %12s %7s\n", "shape", "d",
+              "full-dag B", "block-push B", "rounds", "hash-first B",
+              "rounds");
   for (const bool bush : {false, true}) {
     for (const int d : {1, 2, 4, 8, 16, 32, 64}) {
       const Row full = RunFull(kShared, d, bush);
@@ -277,26 +275,20 @@ int main() {
           RunFrontier(recon::ReconConfig::Mode::kBlockPush, kShared, d, bush);
       const Row hashed =
           RunFrontier(recon::ReconConfig::Mode::kHashFirst, kShared, d, bush);
-      const Row bloom =
-          RunFrontier(recon::ReconConfig::Mode::kBloom, kShared, d, bush);
-      std::printf(
-          "%-6s %-6d | %12llu | %12llu %7llu | %12llu %7llu | %12llu %7llu\n",
-          bush ? "bush" : "chain", d,
-          static_cast<unsigned long long>(full.bytes),
-          static_cast<unsigned long long>(paper.bytes),
-          static_cast<unsigned long long>(paper.rounds),
-          static_cast<unsigned long long>(hashed.bytes),
-          static_cast<unsigned long long>(hashed.rounds),
-          static_cast<unsigned long long>(bloom.bytes),
-          static_cast<unsigned long long>(bloom.rounds));
+      std::printf("%-6s %-6d | %12llu | %12llu %7llu | %12llu %7llu\n",
+                  bush ? "bush" : "chain", d,
+                  static_cast<unsigned long long>(full.bytes),
+                  static_cast<unsigned long long>(paper.bytes),
+                  static_cast<unsigned long long>(paper.rounds),
+                  static_cast<unsigned long long>(hashed.bytes),
+                  static_cast<unsigned long long>(hashed.rounds));
     }
   }
   std::printf(
       "\nExpected shape: full-dag cost is flat in d (always ~shared+d\n"
       "blocks); frontier protocols scale with d. Hash-first beats\n"
-      "block-push on deep chains (level escalation re-ships bodies);\n"
-      "bloom closes any gap shape in one round for a filter-sized\n"
-      "overhead (~10 bits per known block).\n");
+      "block-push on deep chains (level escalation re-ships bodies).\n"
+      "The E10 sweep below pays bytes proportional to the delta.\n");
   RunDiffSweep();
   benchio::WriteBench("reconciliation");
   return 0;

@@ -103,8 +103,8 @@ class Dag {
   // order this replica inserted it. Parents must be present to
   // insert, so parents precede children — but two replicas holding
   // the same DAG may hold it in different insertion orders. Use this
-  // only for order-insensitive folds (RangeDigest, Iblt, Bloom filter
-  // inserts); anything that emits blocks or depends on their order
+  // only for order-insensitive folds (RangeDigest and Iblt inserts);
+  // anything that emits blocks or depends on their order
   // uses TopologicalOrder(). O(1): the entries point at the map's own
   // (node-stable) keys, valid until the Dag is destroyed.
   const std::vector<const BlockHash*>& InsertionOrder() const {

@@ -95,19 +95,10 @@ class StateMachine {
   const crdt::LwwMap& meta() const { return meta_; }
   std::string ChainName() const;
 
-  // Operational counters, routed through the telemetry registry
-  // (csm.applied_blocks, csm.applied_txns, csm.rejected_txns,
-  // csm.duplicate_creates). They count what this process did and are
-  // monotonic — LoadSnapshot does not rewind them; use
-  // AppliedBlockCount() for the state's lineage.
-  struct Stats {
-    std::uint64_t applied_blocks = 0;
-    std::uint64_t applied_txns = 0;    // accepted and applied
-    std::uint64_t rejected_txns = 0;   // failed a deterministic check
-    std::uint64_t duplicate_creates = 0;
-  };
-  Stats stats() const;
-
+  // Operational counters live in this registry (csm.applied_blocks,
+  // csm.applied_txns, csm.rejected_txns, csm.duplicate_creates). They
+  // count what this process did and are monotonic — LoadSnapshot does
+  // not rewind them; use AppliedBlockCount() for the state's lineage.
   telemetry::Telemetry* telemetry() const { return telem_; }
 
   // Operations waiting for their CRDT's create to arrive.

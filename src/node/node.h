@@ -74,16 +74,6 @@ struct NodeConfig {
   exec::ThreadPool* exec_pool = nullptr;
 };
 
-// Node-level counters, assembled on demand from the telemetry
-// registry (node.blocks_* / node.foreign_dropped).
-struct NodeStats {
-  std::uint64_t blocks_created = 0;
-  std::uint64_t blocks_accepted = 0;   // foreign blocks inserted
-  std::uint64_t blocks_rejected = 0;   // deterministically invalid
-  std::uint64_t blocks_quarantined = 0;
-  std::uint64_t foreign_dropped = 0;   // adversarial drops
-};
-
 class Node final : public recon::ReconHost {
  public:
   // `genesis` must be the chain's genesis block; `keys` must match
@@ -181,8 +171,6 @@ class Node final : public recon::ReconHost {
   void PreverifyBlocks(
       const std::vector<const chain::Block*>& blocks) override;
 
-  NodeStats stats() const;
-
   // The node's telemetry bundle (never null): its metrics registry
   // holds the node.*, csm.* and recon.* series for this node, and its
   // tracer records validation/apply/session events in sim time.
@@ -221,11 +209,11 @@ class Node final : public recon::ReconHost {
   std::unique_ptr<telemetry::Telemetry> owned_telem_;
   telemetry::Telemetry* telem_ = nullptr;
   telemetry::Counter c_blocks_created_;
-  telemetry::Counter c_blocks_accepted_;
-  telemetry::Counter c_blocks_rejected_;
+  telemetry::Counter c_blocks_accepted_;  // foreign blocks inserted
+  telemetry::Counter c_blocks_rejected_;  // deterministically invalid
   telemetry::Counter c_blocks_quarantined_;
   telemetry::Counter c_quarantine_expired_;
-  telemetry::Counter c_foreign_dropped_;
+  telemetry::Counter c_foreign_dropped_;  // adversarial drops
   telemetry::Gauge g_quarantine_size_;
   // Batched signature pre-verification cache; validation consumes its
   // verdicts in serial order (chain/validation.h). Declared before

@@ -67,7 +67,7 @@ Bytes EncodeMessage(const FrontierRequest& m) {
   w.WriteU32(m.level);
   w.WriteBool(m.hashes_only);
   w.WriteFixed(m.genesis);
-  w.WriteBytes(m.bloom);
+  w.WriteVarint(0);  // reserved slot, always empty
   w.WriteFixed(m.frontier_digest);
   return w.Take();
 }
@@ -150,7 +150,11 @@ Status DecodeMessage(ByteSpan data, FrontierRequest* out) {
   VEGVISIR_RETURN_IF_ERROR(r.ReadU32(&out->level));
   VEGVISIR_RETURN_IF_ERROR(r.ReadBool(&out->hashes_only));
   VEGVISIR_RETURN_IF_ERROR(r.ReadFixed(&out->genesis));
-  VEGVISIR_RETURN_IF_ERROR(r.ReadBytes(&out->bloom));
+  std::uint64_t reserved_len;
+  VEGVISIR_RETURN_IF_ERROR(r.ReadVarint(&reserved_len));
+  if (reserved_len != 0) {
+    return InvalidArgumentError("non-empty reserved field");
+  }
   VEGVISIR_RETURN_IF_ERROR(r.ReadFixed(&out->frontier_digest));
   return r.ExpectEnd();
 }
@@ -242,7 +246,8 @@ const char* DecodeRejectName(const Status& status) {
   if (m == "truncated input") return "truncated";
   if (m == "trailing bytes after value") return "trailing";
   if (m == "non-minimal varint" || m == "varint too long" ||
-      m == "varint overflows 64 bits" || m == "non-canonical bool") {
+      m == "varint overflows 64 bits" || m == "non-canonical bool" ||
+      m == "non-empty reserved field") {
     return "noncanonical";
   }
   return "other";

@@ -51,11 +51,11 @@ struct FrontierRequest {
   bool hashes_only = false;
   // Sanity check: both sides must be on the same chain.
   chain::BlockHash genesis{};
-  // Bloom mode (summary reconciliation): a serialized BloomFilter over
-  // the initiator's block hashes; the responder sends the blocks that
-  // are probably missing, usually completing in one round. Empty when
-  // unused.
-  Bytes bloom;
+  // On the wire the genesis is followed by a reserved length-prefixed
+  // slot. It is always empty (the one byte 0x00) and decoding rejects
+  // anything else as non-canonical. It stays so that requests remain
+  // byte-compatible with deployed peers; dropping it needs a
+  // protocol_version bump.
   // SHA-256 over the initiator's sorted frontier. If it matches the
   // responder's, the replicas are identical and the response carries
   // no bodies — the paper's "identical frontier sets" early exit, for

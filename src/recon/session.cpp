@@ -5,18 +5,8 @@
 #include <utility>
 
 #include "serial/limits.h"
-#include "util/bloom.h"
 
 namespace vegvisir::recon {
-
-void SessionStats::Accumulate(const SessionStats& other) {
-  rounds += other.rounds;
-  bytes_sent += other.bytes_sent;
-  bytes_received += other.bytes_received;
-  blocks_received += other.blocks_received;
-  blocks_inserted += other.blocks_inserted;
-  blocks_pushed += other.blocks_pushed;
-}
 
 SessionMetrics SessionMetrics::Resolve(telemetry::Telemetry* sink,
                                        const char* side) {
@@ -99,8 +89,6 @@ bool InitiatorSession::HashFirstActive() const {
   switch (config_.mode) {
     case ReconConfig::Mode::kHashFirst:
       return true;
-    case ReconConfig::Mode::kBloom:
-      return bloom_round_done_;
     case ReconConfig::Mode::kSetDiff:
       // The fallback rounds after an abandoned negotiation, and the
       // whole session when this node is downgraded to version 1.
@@ -115,28 +103,11 @@ bool InitiatorSession::HashFirstActive() const {
 Bytes InitiatorSession::MakeFrontierRequest() {
   FrontierRequest req;
   req.level = level_;
-  // Bloom/setdiff fallback rounds use hash-first requests: escalation
-  // is then paid in hashes, not repeated bodies.
+  // Setdiff fallback rounds use hash-first requests: escalation is
+  // then paid in hashes, not repeated bodies.
   req.hashes_only = HashFirstActive();
   req.genesis = host_->dag().genesis_hash();
   req.frontier_digest = host_->dag().FrontierDigest();
-  stats_.rounds += 1;
-  metrics_.rounds.Inc();
-  return Send(EncodeMessage(req));
-}
-
-Bytes InitiatorSession::MakeBloomRequest() {
-  const chain::Dag& dag = host_->dag();
-  BloomFilter filter = BloomFilter::ForExpectedItems(dag.Size());
-  for (const chain::BlockHash* h : dag.InsertionOrder()) {
-    filter.Insert(ByteSpan(h->data(), h->size()));
-  }
-  FrontierRequest req;
-  req.level = 1;
-  req.hashes_only = false;
-  req.genesis = dag.genesis_hash();
-  req.bloom = filter.Serialize();
-  req.frontier_digest = dag.FrontierDigest();
   stats_.rounds += 1;
   metrics_.rounds.Inc();
   return Send(EncodeMessage(req));
@@ -160,7 +131,6 @@ Bytes InitiatorSession::MakeDiffProbe() {
 
 Bytes InitiatorSession::Start() {
   metrics_.sessions_started.Inc();
-  if (config_.mode == ReconConfig::Mode::kBloom) return MakeBloomRequest();
   if (config_.mode == ReconConfig::Mode::kSetDiff &&
       config_.protocol_version >= 2) {
     return MakeDiffProbe();
@@ -371,20 +341,6 @@ Status InitiatorSession::HandleFrontierResponse(ByteSpan data,
   last_level_count_ = resp.hashes.size();
   last_advertised_ = resp.hashes;
 
-  if (config_.mode == ReconConfig::Mode::kBloom && !bloom_round_done_) {
-    // Summary round: the responder sent everything our filter did not
-    // claim to have. Usually that closes the gap in one round; Bloom
-    // false positives may leave holes, in which case we fall back to
-    // hash-first escalation.
-    VEGVISIR_RETURN_IF_ERROR(StashBlocks(resp.blocks, resp.hashes));
-    if (TryMerge() && CaughtUp()) {
-      FinishMaybePush(out);
-      return Status::Ok();
-    }
-    bloom_round_done_ = true;
-    return EscalateOrFail(out);
-  }
-
   if (HashFirstActive()) {
     // Request only the bodies we miss.
     BlockRequest req;
@@ -559,11 +515,7 @@ Status InitiatorSession::EscalateOrFail(std::vector<Bytes>* out) {
     metrics_.level_cap_hit.Inc();
     return ResourceExhaustedError("frontier level cap reached");
   }
-  if (config_.escalation == ReconConfig::Escalation::kExponential) {
-    level_ = std::min(level_ * 2, config_.max_level);
-  } else {
-    ++level_;
-  }
+  ++level_;
   out->push_back(MakeFrontierRequest());
   return Status::Ok();
 }
@@ -737,26 +689,6 @@ Status ResponderSession::HandleFrontierRequest(ByteSpan data,
   // hashes present and finish immediately.
   if (req.frontier_digest == host_->dag().FrontierDigest()) {
     resp.hashes = host_->dag().Frontier();
-    out->push_back(Send(EncodeMessage(resp)));
-    return Status::Ok();
-  }
-
-  if (!req.bloom.empty()) {
-    // Summary reconciliation: send every stored block the initiator's
-    // filter does not (probably) contain, parents before children so
-    // the receiver can insert as it reads. The hash list carries our
-    // frontier for the initiator's completion check.
-    auto filter = BloomFilter::Deserialize(req.bloom);
-    if (!filter.ok()) return filter.status();
-    resp.hashes = host_->dag().Frontier();
-    for (const chain::BlockHash& h : host_->dag().TopologicalOrder()) {
-      if (h == host_->dag().genesis_hash()) continue;
-      if (filter->MayContain(ByteSpan(h.data(), h.size()))) continue;
-      const chain::Block* block = host_->dag().Find(h);
-      if (block != nullptr) resp.blocks.push_back(block->Serialize());
-    }
-    stats_.blocks_pushed += resp.blocks.size();
-    metrics_.blocks_pushed.Inc(resp.blocks.size());
     out->push_back(Send(EncodeMessage(resp)));
     return Status::Ok();
   }

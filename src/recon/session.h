@@ -4,19 +4,13 @@
 // of recon/messages.h. They are transport-agnostic: the simulator (or
 // a real radio link) moves the bytes. The initiator pulls the
 // responder's level-n frontier set, escalating n until the gap to its
-// own DAG is bridged, then merges. Two modes:
+// own DAG is bridged, then merges. Three modes:
 //
 //   kBlockPush (paper-faithful): every frontier response carries full
 //     block bodies, re-sending the whole level-n set each round.
 //   kHashFirst (ablation E10, the paper's future-work direction):
 //     responses carry hashes; the initiator requests only the bodies
 //     it is missing.
-//   kBloom (a further future-work design): the first request carries
-//     a Bloom-filter summary of the initiator's block set; the
-//     responder sends the probably-missing blocks in topological
-//     order, typically finishing in one round. Bloom false positives
-//     can leave gaps; the session then falls back to hash-first
-//     escalation, so completeness never depends on the filter.
 //   kSetDiff (reconciliation v2, DESIGN.md §16): the initiator probes
 //     with a range digest of its whole hash set, the responder
 //     replies with an IBLT sized to the estimated delta, and a
@@ -81,7 +75,10 @@ class ReconHost {
 };
 
 struct ReconConfig {
-  enum class Mode { kBlockPush, kHashFirst, kBloom, kSetDiff };
+  // Explicit values: parameterised test names print a mode's raw
+  // bytes, so each mode keeps its number across releases. 2 is unused
+  // (it was the Bloom-summary mode).
+  enum class Mode { kBlockPush = 0, kHashFirst = 1, kSetDiff = 3 };
   Mode mode = Mode::kBlockPush;
   // Highest setdiff protocol revision this node speaks. 1 = legacy
   // (pre-setdiff: never sends DiffProbe, rejects one as an unknown
@@ -98,15 +95,10 @@ struct ReconConfig {
   // escalation naturally stops once the set reaches the genesis).
   std::uint32_t max_level = 1u << 20;
   bool push_back = false;
-  // Level growth on escalation: kLinear is the paper's Algorithm 1
-  // (n <- n+1); kExponential doubles the level, reaching a depth-d
-  // gap in log2(d) round trips — far more robust on lossy links
-  // where each round trip may fail.
-  enum class Escalation { kLinear, kExponential };
-  Escalation escalation = Escalation::kLinear;
-  // First level to request (default 1). The gossip engine resumes a
+  // First level to request (default 1); each escalation then adds one
+  // (the paper's Algorithm 1, n <- n+1). The gossip engine resumes a
   // failed catch-up at the level the previous session reached, so
-  // multi-session progress accumulates even with linear escalation.
+  // multi-session progress accumulates across lossy links.
   std::uint32_t start_level = 1;
 };
 
@@ -121,8 +113,6 @@ struct SessionStats {
   std::uint64_t blocks_received = 0;  // bodies received over the wire
   std::uint64_t blocks_inserted = 0;  // newly added to the DAG
   std::uint64_t blocks_pushed = 0;    // bodies pushed to the peer
-
-  void Accumulate(const SessionStats& other);
 };
 
 // The pre-resolved registry handles one session side holds. Resolving
@@ -212,11 +202,10 @@ class InitiatorSession {
   };
 
   Bytes MakeFrontierRequest();
-  Bytes MakeBloomRequest();
   Bytes MakeDiffProbe();
   // True when frontier responses should carry hashes only and gaps
   // are closed with BlockRequest fetches (hash-first mode itself, the
-  // bloom and setdiff fallback paths, and the setdiff v1 downgrade).
+  // setdiff fallback path, and the setdiff v1 downgrade).
   bool HashFirstActive() const;
   Status HandleFrontierResponse(ByteSpan data, std::vector<Bytes>* out);
   Status HandleDiffSketch(ByteSpan data, std::vector<Bytes>* out);
@@ -252,9 +241,6 @@ class InitiatorSession {
   SessionStats stats_;
   SessionMetrics metrics_;
   std::uint32_t level_ = 1;
-  // In bloom mode, set after the summary round; escalation then uses
-  // hash-first requests (cheap) to close false-positive gaps.
-  bool bloom_round_done_ = false;
   DiffPhase diff_phase_ = DiffPhase::kInactive;
   // Cell count to request in the next probe (0 = let the responder
   // size from its delta estimate; nonzero after a failed peel).

@@ -1,9 +1,9 @@
 // chain::Dag's insertion order: the replica-local, parents-first list
 // of every known hash that order-insensitive folds (range digest,
-// IBLT, Bloom filter) iterate instead of re-running the canonical
-// Kahn sort. These tests pin what those folds rely on: every hash
-// exactly once (evicted stubs included), parents before children,
-// untouched by eviction, and valid across copies and moves.
+// IBLT) iterate instead of re-running the canonical Kahn sort. These
+// tests pin what those folds rely on: every hash exactly once
+// (evicted stubs included), parents before children, untouched by
+// eviction, and valid across copies and moves.
 #include <gtest/gtest.h>
 
 #include <map>

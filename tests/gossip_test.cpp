@@ -11,6 +11,12 @@
 namespace vegvisir::node {
 namespace {
 
+// Reads one counter (gossip.*, recon.*, setdiff.*) from node i's
+// registry, which its gossip engine and sessions count into.
+std::uint64_t ReadCounter(Cluster& cluster, int i, const char* name) {
+  return cluster.telemetry(i).metrics.CounterValue(name);
+}
+
 TEST(GossipTest, CliqueConvergesQuickly) {
   sim::ExplicitTopology topo(6);
   topo.MakeClique();
@@ -209,12 +215,13 @@ TEST(GossipTest, GossipStatsAreCollected) {
   cfg.node_count = 4;
   Cluster cluster(cfg, &topo);
   cluster.RunFor(30'000);
-  const GossipStats& stats = cluster.gossip(0).stats();
-  EXPECT_GT(stats.ticks, 0u);
-  EXPECT_GT(stats.sessions_started, 0u);
-  EXPECT_GT(stats.sessions_completed, 0u);
-  EXPECT_GT(stats.initiator.bytes_sent, 0u);
-  EXPECT_GT(cluster.network().stats().messages_delivered, 0u);
+  EXPECT_GT(ReadCounter(cluster, 0, "gossip.ticks"), 0u);
+  EXPECT_GT(ReadCounter(cluster, 0, "recon.initiator.sessions_started"), 0u);
+  EXPECT_GT(ReadCounter(cluster, 0, "recon.initiator.sessions_completed"), 0u);
+  EXPECT_GT(ReadCounter(cluster, 0, "recon.initiator.bytes_sent"), 0u);
+  EXPECT_GT(cluster.network_telemetry().metrics.CounterValue(
+                "net.messages_delivered"),
+            0u);
 }
 
 TEST(GossipTest, IsolatedNodeCatchesUpWhenLinkReturns) {
@@ -248,10 +255,10 @@ TEST(GossipTest, TotalLossTimesOutSessionsWithoutLeaking) {
   cfg.link.drop_probability = 1.0;  // the air eats everything
   Cluster cluster(cfg, &topo);
   cluster.RunFor(120'000);
-  const GossipStats& stats = cluster.gossip(0).stats();
-  EXPECT_GT(stats.sessions_started, 0u);
-  EXPECT_EQ(stats.sessions_completed, 0u);
-  EXPECT_GT(stats.sessions_timed_out, 0u);  // expired, not leaked
+  EXPECT_GT(ReadCounter(cluster, 0, "recon.initiator.sessions_started"), 0u);
+  EXPECT_EQ(ReadCounter(cluster, 0, "recon.initiator.sessions_completed"), 0u);
+  // Expired, not leaked.
+  EXPECT_GT(ReadCounter(cluster, 0, "gossip.sessions_timed_out"), 0u);
 }
 
 TEST(GossipTest, StoppedEngineInitiatesNothingNew) {
@@ -263,11 +270,12 @@ TEST(GossipTest, StoppedEngineInitiatesNothingNew) {
   cluster.RunFor(10'000);
   cluster.gossip(0).Stop();
   cluster.gossip(1).Stop();
-  const std::uint64_t started_0 = cluster.gossip(0).stats().sessions_started;
-  const std::uint64_t started_1 = cluster.gossip(1).stats().sessions_started;
+  const char* started = "recon.initiator.sessions_started";
+  const std::uint64_t started_0 = ReadCounter(cluster, 0, started);
+  const std::uint64_t started_1 = ReadCounter(cluster, 1, started);
   cluster.RunFor(30'000);
-  EXPECT_EQ(cluster.gossip(0).stats().sessions_started, started_0);
-  EXPECT_EQ(cluster.gossip(1).stats().sessions_started, started_1);
+  EXPECT_EQ(ReadCounter(cluster, 0, started), started_0);
+  EXPECT_EQ(ReadCounter(cluster, 1, started), started_1);
 }
 
 TEST(GossipTest, ClusterHonestListExcludesAdversaries) {
@@ -329,24 +337,22 @@ TEST(GossipTest, UnreachablePeerEntersExponentialBackoff) {
   Cluster cluster(cfg, &topo);
 
   cluster.RunFor(10'000);
-  const GossipStats early = cluster.gossip(0).stats();
-  EXPECT_GT(early.sessions_aborted, 0u);
-  EXPECT_GT(early.backoffs, 0u);
+  EXPECT_GT(ReadCounter(cluster, 0, "gossip.sessions_aborted"), 0u);
+  EXPECT_GT(ReadCounter(cluster, 0, "gossip.backoffs"), 0u);
   const auto& backoff = cluster.gossip(0).peer_backoff();
   ASSERT_EQ(backoff.count(1), 1u);
   const std::uint32_t failures_early = backoff.at(1).failures;
   EXPECT_GE(failures_early, 1u);
 
   cluster.RunFor(110'000);  // 120 s total
-  const GossipStats late = cluster.gossip(0).stats();
   EXPECT_GT(backoff.at(1).failures, failures_early);
   // A naive engine would have attempted ~120 sessions (one per tick);
   // exponential backoff (base 2 s, cap 60 s) caps the attempt budget.
-  EXPECT_LT(late.sessions_started, 30u);
-  EXPECT_EQ(late.sessions_completed, 0u);
+  EXPECT_LT(ReadCounter(cluster, 0, "recon.initiator.sessions_started"), 30u);
+  EXPECT_EQ(ReadCounter(cluster, 0, "recon.initiator.sessions_completed"), 0u);
   // Ticks kept firing, but selection skipped the cooled-down peer.
-  EXPECT_GT(late.cooldown_skips, 0u);
-  EXPECT_GT(late.ticks, 100u);
+  EXPECT_GT(ReadCounter(cluster, 0, "gossip.cooldown_skips"), 0u);
+  EXPECT_GT(ReadCounter(cluster, 0, "gossip.ticks"), 100u);
   // Nothing leaked: aborted sessions were torn down on the spot.
   EXPECT_EQ(cluster.gossip(0).ActiveSessionCount(), 0u);
 }
@@ -366,18 +372,18 @@ TEST(GossipTest, TimeoutRetryCooldownLifecycleThenRecovery) {
   Cluster cluster(cfg, &topo);
 
   cluster.RunFor(90'000);
-  const GossipStats mid = cluster.gossip(0).stats();
-  EXPECT_GT(mid.sessions_started, 0u);
-  EXPECT_EQ(mid.sessions_completed, 0u);
-  EXPECT_GT(mid.sessions_timed_out, 0u);   // expired, not leaked
-  EXPECT_GT(mid.backoffs, 0u);             // every timeout backed off
-  EXPECT_GT(mid.retries, 0u);              // fast retries fired
-  EXPECT_LE(mid.retries, std::uint64_t{cfg.gossip.max_fast_retries});
+  EXPECT_GT(ReadCounter(cluster, 0, "recon.initiator.sessions_started"), 0u);
+  EXPECT_EQ(ReadCounter(cluster, 0, "recon.initiator.sessions_completed"), 0u);
+  // Expired, not leaked; every timeout backed off; fast retries fired.
+  EXPECT_GT(ReadCounter(cluster, 0, "gossip.sessions_timed_out"), 0u);
+  EXPECT_GT(ReadCounter(cluster, 0, "gossip.backoffs"), 0u);
+  EXPECT_GT(ReadCounter(cluster, 0, "gossip.retries"), 0u);
+  EXPECT_LE(ReadCounter(cluster, 0, "gossip.retries"),
+            std::uint64_t{cfg.gossip.max_fast_retries});
 
   cluster.RunFor(120'000);
   EXPECT_TRUE(cluster.Converged());
-  const GossipStats late = cluster.gossip(0).stats();
-  EXPECT_GT(late.sessions_completed, 0u);
+  EXPECT_GT(ReadCounter(cluster, 0, "recon.initiator.sessions_completed"), 0u);
   // Success wipes the peer's failure history.
   EXPECT_TRUE(cluster.gossip(0).peer_backoff().empty());
 }
@@ -553,10 +559,10 @@ TEST(GossipTest, ResumeLevelCarriesFailedCatchUpForward) {
   EXPECT_TRUE(cluster.Converged());
   // Success wipes the resume record along with the backoff history.
   EXPECT_EQ(cluster.gossip(0).ResumeLevelFor(1), 0u);
-  const GossipStats stats = cluster.gossip(0).stats();
-  EXPECT_GT(stats.sessions_completed, 0u);
-  EXPECT_GT(stats.sessions_failed + stats.sessions_aborted +
-                stats.sessions_timed_out,
+  EXPECT_GT(ReadCounter(cluster, 0, "recon.initiator.sessions_completed"), 0u);
+  EXPECT_GT(ReadCounter(cluster, 0, "recon.initiator.sessions_failed") +
+                ReadCounter(cluster, 0, "gossip.sessions_aborted") +
+                ReadCounter(cluster, 0, "gossip.sessions_timed_out"),
             0u);
 }
 
@@ -584,7 +590,7 @@ TEST(GossipTest, LegacyPeerIsDowngradedAndMixedFleetConverges) {
   for (int i : {0, 1}) {
     EXPECT_TRUE(cluster.gossip(i).IsLegacyPeer(2)) << i;
     EXPECT_FALSE(cluster.gossip(i).IsLegacyPeer(1 - i)) << i;
-    EXPECT_GE(cluster.gossip(i).stats().peer_downgrades, 1u) << i;
+    EXPECT_GE(ReadCounter(cluster, i, "setdiff.peer_downgrades"), 1u) << i;
     const telemetry::MetricsRegistry& m = cluster.telemetry(i).metrics;
     EXPECT_GT(m.CounterValue("setdiff.probes"), 0u) << i;
     EXPECT_GT(m.CounterValue("setdiff.decode_success"), 0u) << i;
@@ -596,8 +602,8 @@ TEST(GossipTest, LegacyPeerIsDowngradedAndMixedFleetConverges) {
             0u);
   // And it was never probed again after the downgrade stuck: every
   // v2 node carries at most one downgrade for it.
-  EXPECT_LE(cluster.gossip(0).stats().peer_downgrades, 1u);
-  EXPECT_LE(cluster.gossip(1).stats().peer_downgrades, 1u);
+  EXPECT_LE(ReadCounter(cluster, 0, "setdiff.peer_downgrades"), 1u);
+  EXPECT_LE(ReadCounter(cluster, 1, "setdiff.peer_downgrades"), 1u);
 }
 
 }  // namespace

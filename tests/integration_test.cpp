@@ -117,7 +117,10 @@ TEST_P(ChaosTest, RandomWorkloadConvergesCleanly) {
                                         ? ""
                                         : report.issues[0].what);
     // And no honest transaction was rejected by the CSM.
-    EXPECT_EQ(node.state().stats().rejected_txns, 0u) << i;
+    EXPECT_EQ(node.state().telemetry()->metrics.CounterValue(
+                  "csm.rejected_txns"),
+              0u)
+        << i;
   }
 }
 
@@ -419,13 +422,11 @@ INSTANTIATE_TEST_SUITE_P(
     Modes, ReconModeClusterTest,
     ::testing::Values(recon::ReconConfig::Mode::kBlockPush,
                       recon::ReconConfig::Mode::kHashFirst,
-                      recon::ReconConfig::Mode::kBloom,
                       recon::ReconConfig::Mode::kSetDiff),
     [](const ::testing::TestParamInfo<recon::ReconConfig::Mode>& info) {
       switch (info.param) {
         case recon::ReconConfig::Mode::kBlockPush: return "BlockPush";
         case recon::ReconConfig::Mode::kHashFirst: return "HashFirst";
-        case recon::ReconConfig::Mode::kBloom: return "Bloom";
         case recon::ReconConfig::Mode::kSetDiff: return "SetDiff";
       }
       return "Unknown";

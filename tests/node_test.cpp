@@ -12,6 +12,11 @@ namespace {
 using chain::Block;
 using chain::BlockVerdict;
 
+// Reads one counter from a node's registry.
+std::uint64_t ReadCounter(const Node& node, const char* name) {
+  return node.telemetry()->metrics.CounterValue(name);
+}
+
 crypto::KeyPair TestKeys(std::uint64_t seed) {
   crypto::Drbg drbg(seed);
   return crypto::KeyPair::Generate(drbg);
@@ -74,7 +79,7 @@ TEST(NodeTest, SubmitBuildsOnFrontierAndApplies) {
   const auto h2 = owner->AddWitnessBlock();
   ASSERT_TRUE(h2.ok());
   EXPECT_EQ(owner->dag().ParentsOf(*h2), std::vector<chain::BlockHash>{*h1});
-  EXPECT_EQ(owner->stats().blocks_created, 2u);
+  EXPECT_EQ(ReadCounter(*owner, "node.blocks_created"), 2u);
 }
 
 TEST(NodeTest, SubmitTimestampsStrictlyIncrease) {
@@ -206,7 +211,7 @@ TEST(NodeTest, ForgedBlockRejectedPermanently) {
   h.parents = {f.genesis.hash()};
   const Block forged = Block::Create(std::move(h), {}, TestKeys(99));
   EXPECT_EQ(owner->OfferBlock(forged), BlockVerdict::kReject);
-  EXPECT_EQ(owner->stats().blocks_rejected, 1u);
+  EXPECT_EQ(ReadCounter(*owner, "node.blocks_rejected"), 1u);
   EXPECT_EQ(owner->QuarantineSize(), 0u);
 }
 
@@ -231,7 +236,7 @@ TEST(NodeTest, AdversaryDropsForeignBlocks) {
   // The adversary claims success but stores nothing.
   EXPECT_EQ(evil->OfferBlock(*owner->dag().Find(*h)), BlockVerdict::kValid);
   EXPECT_FALSE(evil->dag().Contains(*h));
-  EXPECT_EQ(evil->stats().foreign_dropped, 1u);
+  EXPECT_EQ(ReadCounter(*evil, "node.foreign_dropped"), 1u);
 }
 
 TEST(NodeTest, WitnessFlowReachesPersistence) {

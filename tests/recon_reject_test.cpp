@@ -279,6 +279,23 @@ TEST(ReconRejectTest, ResponderNonCanonicalVarint) {
   ExpectOnly(rig, "responder", "noncanonical");
 }
 
+// The FrontierRequest slot that once carried a Bloom summary is
+// reserved: it must hold the single length byte 0x00. Anything else,
+// here a length of 1 and one byte, is a non-canonical encoding.
+TEST(ReconRejectTest, ResponderNonEmptyReservedSlot) {
+  Rig rig;
+  serial::Writer w;
+  w.WriteU8(static_cast<std::uint8_t>(MessageType::kFrontierRequest));
+  w.WriteU32(1);
+  w.WriteBool(false);
+  w.WriteFixed(rig.genesis.hash());
+  w.WriteVarint(1);
+  w.WriteU8(0x42);
+  w.WriteFixed(chain::BlockHash{});
+  rig.FeedResponder(w.Take());
+  ExpectOnly(rig, "responder", "noncanonical");
+}
+
 // The catch-all bucket is only reachable through statuses no decoder
 // currently produces, so drive CountDecodeReject directly.
 TEST(ReconRejectTest, OtherBucketCatchesUnmappedStatuses) {
@@ -318,6 +335,7 @@ TEST(ReconRejectTest, DecodeRejectNamePinsEveryVerdict) {
   EXPECT_STREQ(name("varint too long"), "noncanonical");
   EXPECT_STREQ(name("varint overflows 64 bits"), "noncanonical");
   EXPECT_STREQ(name("non-canonical bool"), "noncanonical");
+  EXPECT_STREQ(name("non-empty reserved field"), "noncanonical");
   EXPECT_STREQ(name("bad proof magic"), "other");
 }
 

@@ -59,7 +59,9 @@ TEST(SecurityTest, SelfIssuedCertificateRejected) {
   ASSERT_EQ(owner->OfferBlock(enrol), BlockVerdict::kValid);  // block is real
   // ...but the transaction inside was rejected.
   EXPECT_EQ(owner->state().membership().FindCertificate("eve"), nullptr);
-  EXPECT_GT(owner->state().stats().rejected_txns, 0u);
+  EXPECT_GT(
+      owner->state().telemetry()->metrics.CounterValue("csm.rejected_txns"),
+      0u);
 }
 
 TEST(SecurityTest, KeySubstitutionOnCertificateFails) {

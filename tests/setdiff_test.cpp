@@ -537,19 +537,6 @@ TEST(SetdiffSessionTest, NegotiationBytesMatchGolden) {
             "179a76b3c471cab9b0cf185e748a914196980b2015bea5555c064075c310e720");
 }
 
-// The Bloom summary request folds the whole set too; pin its bytes.
-TEST(SetdiffSessionTest, BloomRequestBytesMatchGolden) {
-  Rig rig;
-  auto behind = rig.MakeNode();
-  auto ahead = rig.MakeNode();
-  rig.Diverge(behind.get(), ahead.get(), 300, 5);
-  recon::ReconConfig cfg;
-  cfg.mode = recon::ReconConfig::Mode::kBloom;
-  recon::InitiatorSession initiator(behind.get(), cfg);
-  EXPECT_EQ(Sha256Hex(initiator.Start()),
-            "c8750d26f35be98793e35995eaa518b2b956337bc72aff989df8cb0d4e9034d9");
-}
-
 // Version gating, initiator side: a node configured for setdiff but
 // capped at protocol version 1 must never emit a DiffProbe — it runs
 // the hash-first ladder instead and still converges.

@@ -8,6 +8,13 @@
 namespace vegvisir::sim {
 namespace {
 
+// Reads one counter from the registry a Network (net.*) or a
+// FaultInjector (fault.*) counts into.
+template <typename Source>
+std::uint64_t ReadCounter(const Source& source, const char* name) {
+  return source.telemetry()->metrics.CounterValue(name);
+}
+
 // --------------------------------------------------------------- Simulator
 
 TEST(SimulatorTest, EventsRunInTimeOrder) {
@@ -216,7 +223,7 @@ TEST(NetworkTest, DeliversWithLatency) {
   s.RunAll();
   EXPECT_EQ(received, (Bytes{1, 2, 3, 4, 5}));
   EXPECT_EQ(delivered_at, 15u);  // 10 latency + 5 bytes at 1 B/ms
-  EXPECT_EQ(net.stats().messages_delivered, 1u);
+  EXPECT_EQ(ReadCounter(net, "net.messages_delivered"), 1u);
 }
 
 TEST(NetworkTest, DisconnectedSendFails) {
@@ -226,7 +233,7 @@ TEST(NetworkTest, DisconnectedSendFails) {
   net.Register(1, [](NodeId, const Bytes&) { FAIL(); });
   EXPECT_FALSE(net.Send(0, 1, Bytes{1}));
   s.RunAll();
-  EXPECT_EQ(net.stats().messages_unreachable, 1u);
+  EXPECT_EQ(ReadCounter(net, "net.messages_unreachable"), 1u);
 }
 
 TEST(NetworkTest, DropProbabilityLosesMessages) {
@@ -241,9 +248,9 @@ TEST(NetworkTest, DropProbabilityLosesMessages) {
   for (int i = 0; i < 10; ++i) ASSERT_TRUE(net.Send(0, 1, Bytes{1}));
   s.RunAll();
   EXPECT_EQ(delivered, 0);
-  EXPECT_EQ(net.stats().messages_dropped, 10u);
+  EXPECT_EQ(ReadCounter(net, "net.messages_dropped"), 10u);
   // The radio still transmitted: bytes_sent is charged.
-  EXPECT_EQ(net.stats().bytes_sent, 10u);
+  EXPECT_EQ(ReadCounter(net, "net.bytes_sent"), 10u);
 }
 
 TEST(NetworkTest, EnergyChargedToBothEnds) {
@@ -299,7 +306,7 @@ TEST(FaultInjectorTest, LossDropsAndCounts) {
   for (int i = 0; i < 10; ++i) {
     EXPECT_TRUE(inj.OnSend(0, 1, 0, Bytes{1, 2}).empty());
   }
-  EXPECT_EQ(inj.stats().messages_dropped, 10u);
+  EXPECT_EQ(ReadCounter(inj, "fault.messages_dropped"), 10u);
 }
 
 TEST(FaultInjectorTest, CorruptionMutatesBytesButNotSize) {
@@ -313,7 +320,7 @@ TEST(FaultInjectorTest, CorruptionMutatesBytesButNotSize) {
     if (out[0].payload != original) mutated = true;
   }
   EXPECT_TRUE(mutated);
-  EXPECT_EQ(inj.stats().messages_corrupted, 8u);
+  EXPECT_EQ(ReadCounter(inj, "fault.messages_corrupted"), 8u);
 }
 
 TEST(FaultInjectorTest, TruncationShrinksAndAccountsBytes) {
@@ -325,8 +332,8 @@ TEST(FaultInjectorTest, TruncationShrinksAndAccountsBytes) {
     EXPECT_LT(out[0].payload.size(), 100u);
     removed += 100 - out[0].payload.size();
   }
-  EXPECT_EQ(inj.stats().messages_truncated, 8u);
-  EXPECT_EQ(inj.stats().bytes_truncated, removed);
+  EXPECT_EQ(ReadCounter(inj, "fault.messages_truncated"), 8u);
+  EXPECT_EQ(ReadCounter(inj, "fault.bytes_truncated"), removed);
 }
 
 TEST(FaultInjectorTest, DuplicationDeliversTwiceWithTrailingCopy) {
@@ -336,7 +343,7 @@ TEST(FaultInjectorTest, DuplicationDeliversTwiceWithTrailingCopy) {
   EXPECT_EQ(out[0].payload, out[1].payload);
   // The copy must trail the original, else it is not a reorder hazard.
   EXPECT_GT(out[0].extra_delay_ms, out[1].extra_delay_ms);
-  EXPECT_EQ(inj.stats().messages_duplicated, 1u);
+  EXPECT_EQ(ReadCounter(inj, "fault.messages_duplicated"), 1u);
 }
 
 TEST(FaultInjectorTest, FlapIsSymmetricWindowedAndEventuallyDown) {
@@ -408,8 +415,8 @@ TEST(NetworkTest, DeregisteredReceiverBecomesDeadLetter) {
   net.Deregister(1);  // receiver powers off with the message in flight
   s.RunAll();
   EXPECT_EQ(delivered, 0);
-  EXPECT_EQ(net.stats().messages_dead_letter, 1u);
-  EXPECT_EQ(net.stats().messages_delivered, 0u);
+  EXPECT_EQ(ReadCounter(net, "net.messages_dead_letter"), 1u);
+  EXPECT_EQ(ReadCounter(net, "net.messages_delivered"), 0u);
 }
 
 TEST(NetworkTest, FaultInjectorInterposesOnSends) {
@@ -428,11 +435,12 @@ TEST(NetworkTest, FaultInjectorInterposesOnSends) {
   ASSERT_TRUE(net.Send(0, 1, Bytes(10, 7)));
   s.RunAll();
   EXPECT_EQ(delivered, 2);  // original + duplicate
-  EXPECT_EQ(net.stats().messages_sent, 1u);
-  EXPECT_EQ(net.stats().bytes_sent, 10u);   // the radio sent one copy
-  EXPECT_EQ(net.stats().messages_delivered, 2u);
-  EXPECT_EQ(net.stats().bytes_delivered, delivered_bytes);
-  EXPECT_EQ(inj.stats().messages_duplicated, 1u);
+  EXPECT_EQ(ReadCounter(net, "net.messages_sent"), 1u);
+  // The radio sent one copy.
+  EXPECT_EQ(ReadCounter(net, "net.bytes_sent"), 10u);
+  EXPECT_EQ(ReadCounter(net, "net.messages_delivered"), 2u);
+  EXPECT_EQ(ReadCounter(net, "net.bytes_delivered"), delivered_bytes);
+  EXPECT_EQ(ReadCounter(inj, "fault.messages_duplicated"), 1u);
 }
 
 TEST(NetworkTest, FlappedLinkRefusesSends) {
@@ -445,8 +453,8 @@ TEST(NetworkTest, FlappedLinkRefusesSends) {
   net.Register(1, [](NodeId, const Bytes&) { FAIL(); });
   EXPECT_FALSE(net.Send(0, 1, Bytes{1}));
   s.RunAll();
-  EXPECT_EQ(net.stats().messages_unreachable, 1u);
-  EXPECT_EQ(inj.stats().sends_flap_blocked, 1u);
+  EXPECT_EQ(ReadCounter(net, "net.messages_unreachable"), 1u);
+  EXPECT_EQ(ReadCounter(inj, "fault.sends_flap_blocked"), 1u);
 }
 
 // ----------------------------------------------------------------- Energy

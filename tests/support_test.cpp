@@ -14,6 +14,12 @@ namespace {
 using chain::Block;
 using chain::BlockHash;
 
+// Reads one support.* counter from the node registry a StorageManager
+// counts into.
+std::uint64_t ReadCounter(const node::Node& node, const char* name) {
+  return node.telemetry()->metrics.CounterValue(name);
+}
+
 crypto::KeyPair TestKeys(std::uint64_t seed) {
   crypto::Drbg drbg(seed);
   return crypto::KeyPair::Generate(drbg);
@@ -120,8 +126,8 @@ TEST(StorageManagerTest, EnforcesBudgetByEvictingOldestArchived) {
   const std::size_t evicted = mgr.Enforce(&sc);
   EXPECT_GT(evicted, 0u);
   EXPECT_LE(owner->dag().StoredBytes(), full / 2);
-  EXPECT_EQ(mgr.stats().evictions, evicted);
-  EXPECT_GT(mgr.stats().bytes_reclaimed, 0u);
+  EXPECT_EQ(ReadCounter(*owner, "support.evictions"), evicted);
+  EXPECT_GT(ReadCounter(*owner, "support.bytes_reclaimed"), 0u);
   // The DAG still knows all blocks (stubs), nothing lost.
   EXPECT_EQ(owner->dag().Size(), 21u);
 }
@@ -154,7 +160,7 @@ TEST(StorageManagerTest, RefetchRestoresEvictedBody) {
 
   ASSERT_TRUE(mgr.Refetch(*h1, sc).ok());
   EXPECT_EQ(owner->dag().PresenceOf(*h1), chain::Presence::kStored);
-  EXPECT_EQ(mgr.stats().refetches, 1u);
+  EXPECT_EQ(ReadCounter(*owner, "support.refetches"), 1u);
   // Refetching something never archived fails cleanly.
   BlockHash phantom{};
   phantom.fill(9);

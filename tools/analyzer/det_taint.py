@@ -78,8 +78,8 @@ NONDET_CALLS = re.compile(
 
 # chain::Dag's insertion order is replica-specific: two replicas with
 # the same DAG learned its blocks in different orders. Folding it into
-# an order-insensitive accumulator (RangeDigest / Iblt / BloomFilter
-# Insert) is fine; streaming it anywhere is not.
+# an order-insensitive accumulator (RangeDigest / Iblt Insert) is
+# fine; streaming it anywhere is not.
 INSERTION_ORDER = re.compile(r"\bInsertionOrder\s*\(\s*\)")
 
 # Callable parameter heuristics: a parameter whose type mentions
