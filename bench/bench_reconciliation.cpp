@@ -21,7 +21,9 @@
 // pays for itself against Algorithm 1. Each row also reports the CPU
 // time of the whole session (initiator + responder, one thread) —
 // report-only, machine-dependent — so the per-session cost's slope in
-// depth is visible next to the bytes.
+// depth is visible next to the bytes. The setdiff "warm" column times
+// a second session on the same pair after the responder writes
+// `delta` more blocks: the steady state of a long-lived pair.
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
@@ -195,9 +197,9 @@ void RunDiffSweep() {
   std::printf(
       "\nreconciliation v2: initiator bytes received and session CPU, by\n"
       "strategy (shared depth x delta; chain shape)\n");
-  std::printf("%-6s %-6s | %12s | %12s %7s %9s | %12s %7s %9s\n", "depth",
-              "delta", "full B", "paper B", "rounds", "cpu us", "setdiff B",
-              "rounds", "cpu us");
+  std::printf("%-6s %-6s | %12s | %12s %7s %9s | %12s %7s %9s %9s\n",
+              "depth", "delta", "full B", "paper B", "rounds", "cpu us",
+              "setdiff B", "rounds", "cpu us", "warm us");
   std::vector<telemetry::BenchValue> rows;
   const recon::ReconConfig::Mode kStrategies[] = {
       recon::ReconConfig::Mode::kBlockPush,
@@ -208,6 +210,7 @@ void RunDiffSweep() {
     for (const int delta : {1, 4, 16, 64, 256}) {
       Row per[2];
       double cpu_us[2];
+      double warm_us = 0;
       for (int s = 0; s < 2; ++s) {
         Pair p = RestorePair(history, depth, delta);
         recon::ReconConfig cfg;
@@ -229,6 +232,15 @@ void RunDiffSweep() {
             {key + ".bytes_sent", static_cast<double>(stats.bytes_sent)});
         rows.push_back({key + ".rounds", static_cast<double>(stats.rounds)});
         rows.push_back({key + ".session_cpu_us", cpu_us[s]});
+        if (kStrategies[s] == recon::ReconConfig::Mode::kSetDiff) {
+          for (int i = 0; i < delta; ++i) {
+            if (!p.responder->AddWitnessBlock().ok()) std::exit(1);
+          }
+          const double warm_start = CpuMicros();
+          recon::RunLocalSession(p.initiator.get(), p.responder.get(), cfg);
+          warm_us = CpuMicros() - warm_start;
+          rows.push_back({key + ".warm_session_cpu_us", warm_us});
+        }
       }
       const Row full = RunFullOn(RestorePair(history, depth, delta));
       const std::string key = std::string("recondiff.strategy=full.depth=") +
@@ -238,12 +250,14 @@ void RunDiffSweep() {
           {key + ".bytes_received", static_cast<double>(full.bytes)});
       rows.push_back({key + ".rounds", static_cast<double>(full.rounds)});
       std::printf(
-          "%-6d %-6d | %12llu | %12llu %7llu %9.0f | %12llu %7llu %9.0f\n",
+          "%-6d %-6d | %12llu | %12llu %7llu %9.0f | %12llu %7llu %9.0f "
+          "%9.0f\n",
           depth, delta, static_cast<unsigned long long>(full.bytes),
           static_cast<unsigned long long>(per[0].bytes),
           static_cast<unsigned long long>(per[0].rounds), cpu_us[0],
           static_cast<unsigned long long>(per[1].bytes),
-          static_cast<unsigned long long>(per[1].rounds), cpu_us[1]);
+          static_cast<unsigned long long>(per[1].rounds), cpu_us[1],
+          warm_us);
     }
   }
   std::printf(
@@ -252,8 +266,13 @@ void RunDiffSweep() {
       "cost grows superlinearly in delta. The crossover (where the\n"
       "probe+sketch overhead pays off) sits at small single-digit\n"
       "deltas and moves in setdiff's favour as the DAG deepens.\n"
-      "Session CPU (report-only) still grows with depth: each setdiff\n"
-      "session folds the whole hash set into two IBLTs and a digest.\n");
+      "Session CPU (report-only): for deltas of 1 and 4 (16-cell\n"
+      "sketches) cold and warm setdiff CPU stay flat from depth 64 to\n"
+      "16384 (~0.1-0.8 ms on a 4-core x86-64 VM), because both sides\n"
+      "copy the range digest and floor IBLT their Dags keep on insert.\n"
+      "Larger deltas size bigger tables, which each side still folds\n"
+      "over its whole hash set, so their CPU grows with depth; so does\n"
+      "a session whose 16-cell sketch fails to peel and escalates.\n");
   (void)telemetry::WriteBenchJson("recondiff",
                                   benchio::Sink().metrics.TakeSnapshot(),
                                   std::move(rows));

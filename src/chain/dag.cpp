@@ -14,7 +14,9 @@ const std::string kNoCreator;
 
 }  // namespace
 
-Dag::Dag(Block genesis) {
+Dag::Dag(Block genesis)
+    : floor_sketch_(setdiff::kIbltFloorCells,
+                    setdiff::SeedForCells(setdiff::kIbltFloorCells)) {
   genesis_hash_ = genesis.hash();
   Entry e;
   e.parents = genesis.header().parents;  // empty for a true genesis
@@ -26,11 +28,13 @@ Dag::Dag(Block genesis) {
   stored_bytes_ = e.encoded_size;
   frontier_.insert(genesis_hash_);
   const auto it = entries_.emplace(genesis_hash_, std::move(e)).first;
-  insertion_order_.push_back(&it->first);
+  RecordInsertion(&it->first);
 }
 
 Dag::Dag(const Dag& other)
     : entries_(other.entries_),
+      range_digest_(other.range_digest_),
+      floor_sketch_(other.floor_sketch_),
       frontier_(other.frontier_),
       genesis_hash_(other.genesis_hash_),
       stored_count_(other.stored_count_),
@@ -53,7 +57,13 @@ void Dag::Link(const BlockHash& h, Entry e) {
   }
   frontier_.insert(h);
   const auto it = entries_.emplace(h, std::move(e)).first;
-  insertion_order_.push_back(&it->first);
+  RecordInsertion(&it->first);
+}
+
+void Dag::RecordInsertion(const BlockHash* h) {
+  insertion_order_.push_back(h);
+  range_digest_.Insert(*h);
+  floor_sketch_.Insert(*h);
 }
 
 const Dag::Entry* Dag::FindEntry(const BlockHash& h) const {

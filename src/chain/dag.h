@@ -30,6 +30,8 @@
 
 #include "chain/block.h"
 #include "chain/types.h"
+#include "setdiff/digest.h"
+#include "setdiff/iblt.h"
 #include "util/status.h"
 
 namespace vegvisir::chain {
@@ -103,13 +105,27 @@ class Dag {
   // order this replica inserted it. Parents must be present to
   // insert, so parents precede children — but two replicas holding
   // the same DAG may hold it in different insertion orders. Use this
-  // only for order-insensitive folds (RangeDigest and Iblt inserts);
-  // anything that emits blocks or depends on their order
-  // uses TopologicalOrder(). O(1): the entries point at the map's own
+  // only for order-insensitive folds, such as a setdiff sketch of any
+  // size but the floor table's (kept below, like the range digest).
+  // Anything that emits blocks or depends on their order uses
+  // TopologicalOrder(). O(1): the entries point at the map's own
   // (node-stable) keys, valid until the Dag is destroyed.
   const std::vector<const BlockHash*>& InsertionOrder() const {
     return insertion_order_;
   }
+
+  // The setdiff summaries of every known hash (stored and evicted
+  // stubs), kept current by each insert at O(1) — both are
+  // commutative folds, so they equal a fresh fold over
+  // InsertionOrder() and match on replicas that hold the same set.
+  // Eviction and restore leave the hash set, and so these, alone.
+  //   range_digest(): the 64-range setdiff::RangeDigest a DiffProbe
+  //     carries and a responder estimates against.
+  //   floor_sketch(): the setdiff::Iblt with kIbltFloorCells cells
+  //     and SeedForCells(kIbltFloorCells), the table CellsForDelta
+  //     sizes for estimated deltas of up to four blocks.
+  const setdiff::RangeDigest& range_digest() const { return range_digest_; }
+  const setdiff::Iblt& floor_sketch() const { return floor_sketch_; }
 
   // True iff `ancestor` is a strict ancestor of `descendant` or equal
   // to it when `include_self` (default excludes self).
@@ -171,9 +187,13 @@ class Dag {
   const Entry* FindEntry(const BlockHash& h) const;
   // Adds a structurally checked entry and records its insertion.
   void Link(const BlockHash& h, Entry e);
+  // Records `h` in the insertion order and the setdiff summaries.
+  void RecordInsertion(const BlockHash* h);
 
   std::unordered_map<BlockHash, Entry, BlockHashHasher> entries_;
   std::vector<const BlockHash*> insertion_order_;  // keys of entries_
+  setdiff::RangeDigest range_digest_;
+  setdiff::Iblt floor_sketch_;
   std::set<BlockHash> frontier_;
   BlockHash genesis_hash_{};
   std::size_t stored_count_ = 0;

@@ -113,15 +113,31 @@ Bytes InitiatorSession::MakeFrontierRequest() {
   return Send(EncodeMessage(req));
 }
 
+namespace {
+
+// This replica's IBLT over its whole hash set with the given geometry:
+// a copy of the Dag's maintained floor table when the geometry is the
+// floor's (nearly every session), else a fresh fold.
+setdiff::Iblt LocalSketch(const chain::Dag& dag, std::size_t cells,
+                          std::uint64_t seed) {
+  const setdiff::Iblt& floor = dag.floor_sketch();
+  if (cells == floor.cell_count() && seed == floor.seed()) return floor;
+  setdiff::Iblt table(cells, seed);
+  for (const chain::BlockHash* h : dag.InsertionOrder()) {
+    table.Insert(*h);
+  }
+  return table;
+}
+
+}  // namespace
+
 Bytes InitiatorSession::MakeDiffProbe() {
   DiffProbe probe;
   probe.version = config_.protocol_version;
   probe.genesis = host_->dag().genesis_hash();
   probe.frontier_digest = host_->dag().FrontierDigest();
   probe.requested_cells = diff_cells_requested_;
-  for (const chain::BlockHash* h : host_->dag().InsertionOrder()) {
-    probe.digest.Insert(*h);
-  }
+  probe.digest = host_->dag().range_digest();
   diff_phase_ = DiffPhase::kAwaitSketch;
   stats_.rounds += 1;
   metrics_.rounds.Inc();
@@ -404,12 +420,9 @@ Status InitiatorSession::HandleDiffSketch(ByteSpan data,
   // Mirror the responder's table over our own set and subtract:
   // +1 cells are peer-only keys (fetch), -1 cells are ours-only
   // (report so the responder can expect the push-back).
-  setdiff::Iblt local(sketch.sketch.cell_count(), sketch.seed);
-  for (const chain::BlockHash* h : host_->dag().InsertionOrder()) {
-    local.Insert(*h);
-  }
   setdiff::Iblt diff = sketch.sketch;
-  VEGVISIR_RETURN_IF_ERROR(diff.Subtract(local));
+  VEGVISIR_RETURN_IF_ERROR(diff.Subtract(
+      LocalSketch(host_->dag(), diff.cell_count(), sketch.seed)));
 
   std::vector<chain::BlockHash> peer_only;
   std::vector<chain::BlockHash> local_only;
@@ -616,9 +629,8 @@ Status ResponderSession::HandleDiffProbe(ByteSpan data,
   // Size the sketch from the digest delta estimate unless the probe
   // asks for a specific (escalated) cell count.
   std::uint64_t estimate = dag.Size();  // defensive: shape-mismatch case
-  setdiff::RangeDigest mine;
-  for (const chain::BlockHash* h : dag.InsertionOrder()) mine.Insert(*h);
-  if (auto est = setdiff::RangeDigest::EstimateDelta(probe.digest, mine);
+  if (auto est = setdiff::RangeDigest::EstimateDelta(probe.digest,
+                                                     dag.range_digest());
       est.ok()) {
     estimate = *est;
   }
@@ -636,10 +648,7 @@ Status ResponderSession::HandleDiffProbe(ByteSpan data,
   sketch.set_size = dag.Size();
   sketch.estimated_delta = estimate;
   sketch.frontier = dag.Frontier();
-  sketch.sketch = setdiff::Iblt(cells, sketch.seed);
-  for (const chain::BlockHash* h : dag.InsertionOrder()) {
-    sketch.sketch.Insert(*h);
-  }
+  sketch.sketch = LocalSketch(dag, cells, sketch.seed);
 
   Bytes encoded = EncodeMessage(sketch);
   metrics_.setdiff_sketches_sent.Inc();

@@ -188,7 +188,8 @@ std::size_t CellsForDelta(std::uint64_t estimated_delta, std::size_t cap) {
   // on the lossy links this protocol targets. The +8 floor absorbs
   // estimator error on tiny deltas.
   const std::uint64_t sized = estimated_delta * 2 + 8;
-  const std::uint64_t floor = std::max<std::uint64_t>(sized, 16);
+  const std::uint64_t floor =
+      std::max<std::uint64_t>(sized, kIbltFloorCells);
   return static_cast<std::size_t>(
       std::min<std::uint64_t>(floor, std::max<std::size_t>(cap, 1)));
 }

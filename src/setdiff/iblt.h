@@ -34,6 +34,13 @@ namespace vegvisir::setdiff {
 // near cells/1.3 while costing three cell updates per insert.
 inline constexpr std::size_t kIbltHashCount = 3;
 
+// The smallest table CellsForDelta returns unless the cap is lower:
+// the size for every estimated delta of 0-4 blocks, which is nearly
+// all session traffic. chain::Dag keeps one table of this size
+// (seeded with SeedForCells(kIbltFloorCells)) current on insert, and
+// sessions copy it instead of folding their whole hash set.
+inline constexpr std::size_t kIbltFloorCells = 16;
+
 // Wire floor of one encoded cell: 1-byte minimum zigzag count +
 // 32-byte key XOR + 8-byte checksum XOR. CheckWireCount divides the
 // remaining input by this, so a cell-count bomb must pay for padding.

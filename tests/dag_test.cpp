@@ -3,7 +3,9 @@
 // IBLT) iterate instead of re-running the canonical Kahn sort. These
 // tests pin what those folds rely on: every hash exactly once
 // (evicted stubs included), parents before children, untouched by
-// eviction, and valid across copies and moves.
+// eviction, and valid across copies and moves. The setdiff summaries
+// the Dag keeps on insert (range digest, floor-size IBLT) must equal
+// a fresh fold of that order through every way a Dag grows or moves.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -15,8 +17,11 @@
 #include "chain/block.h"
 #include "chain/dag.h"
 #include "chain/genesis.h"
+#include "chain/store.h"
 #include "crypto/drbg.h"
 #include "crypto/ed25519.h"
+#include "setdiff/digest.h"
+#include "setdiff/iblt.h"
 #include "util/rng.h"
 
 namespace vegvisir::chain {
@@ -181,6 +186,167 @@ TEST(DagInsertionOrderTest, MoveKeepsTheMapsNodes) {
   EXPECT_EQ(assigned.InsertionOrder(), pointers);
   EXPECT_EQ(Values(assigned), inserted);
   ExpectParentsFirstPermutation(assigned);
+}
+
+// ------------------------------------------- maintained setdiff summaries
+
+// The Dag's range digest and floor table against a fresh fold of its
+// insertion order.
+void ExpectSummariesMatchFreshFold(const Dag& dag) {
+  setdiff::RangeDigest digest;
+  setdiff::Iblt sketch(setdiff::kIbltFloorCells,
+                       setdiff::SeedForCells(setdiff::kIbltFloorCells));
+  for (const BlockHash* h : dag.InsertionOrder()) {
+    digest.Insert(*h);
+    sketch.Insert(*h);
+  }
+  EXPECT_TRUE(dag.range_digest() == digest);
+  EXPECT_EQ(dag.floor_sketch().seed(), sketch.seed());
+  EXPECT_EQ(dag.floor_sketch().cells(), sketch.cells());
+}
+
+void ExpectSameSummaries(const Dag& a, const Dag& b) {
+  EXPECT_TRUE(a.range_digest() == b.range_digest());
+  EXPECT_EQ(a.floor_sketch().cells(), b.floor_sketch().cells());
+}
+
+TEST(DagSetdiffSummaryTest, GenesisOnlyDagHoldsTheGenesisHash) {
+  Fixture f;
+  Dag dag(f.genesis);
+  ExpectSummariesMatchFreshFold(dag);
+  EXPECT_EQ(dag.floor_sketch().cell_count(), setdiff::kIbltFloorCells);
+  std::uint64_t count = 0;
+  for (const setdiff::RangeCell& cell : dag.range_digest().cells()) {
+    count += cell.count;
+  }
+  EXPECT_EQ(count, 1u);
+}
+
+// A seeded random history through every way a Dag changes: inserts,
+// evicted stubs, refused inserts, eviction and restore, copy
+// construction and assignment, moves, and a checkpoint round trip
+// (SerializeDag re-inserts in topological order, a different
+// insertion order holding the same set).
+TEST(DagSetdiffSummaryTest, MatchFreshFoldThroughRandomHistory) {
+  Fixture f;
+  Rng rng(41);
+  Dag dag(f.genesis);
+  const Block other_genesis =
+      GenesisBuilder("other").WithTimestamp(1).Build("owner", f.owner);
+  std::vector<BlockHash> known = {f.genesis.hash()};
+  std::map<BlockHash, Block> bodies;  // every block made, for Restore
+  std::uint64_t ts = 200;
+  int evicted = 0;
+  int restored = 0;
+
+  const auto random_parents = [&] {
+    std::set<BlockHash> parents;
+    const std::uint64_t want = 1 + rng.NextBelow(3);
+    for (std::uint64_t k = 0; k < want; ++k) {
+      parents.insert(known[rng.NextBelow(known.size())]);
+    }
+    return std::vector<BlockHash>(parents.begin(), parents.end());
+  };
+
+  ExpectSummariesMatchFreshFold(dag);
+  for (int step = 0; step < 300; ++step) {
+    const BlockHash pick = known[rng.NextBelow(known.size())];
+    switch (rng.NextBelow(10)) {
+      case 0:
+      case 1:
+      case 2: {
+        const Block b = f.MakeBlock(random_parents(), ++ts);
+        ASSERT_TRUE(dag.Insert(b).ok());
+        known.push_back(b.hash());
+        bodies.emplace(b.hash(), b);
+        break;
+      }
+      case 3: {
+        const Block b = f.MakeBlock(random_parents(), ++ts);
+        ASSERT_TRUE(dag.InsertEvictedStub(b.hash(), b.header().parents,
+                                          "owner", b.header().timestamp_ms,
+                                          b.EncodedSize())
+                        .ok());
+        known.push_back(b.hash());
+        bodies.emplace(b.hash(), b);
+        break;
+      }
+      case 4:
+        // Refused: a duplicate (or, for genesis, a second genesis).
+        if (pick == f.genesis.hash()) {
+          EXPECT_FALSE(dag.Insert(other_genesis).ok());
+        } else {
+          EXPECT_FALSE(dag.Insert(bodies.at(pick)).ok());
+        }
+        break;
+      case 5:
+        // Refused for genesis, the frontier and evicted blocks.
+        if (dag.Evict(pick).ok()) ++evicted;
+        break;
+      case 6:
+        if (dag.PresenceOf(pick) == Presence::kEvicted) {
+          ASSERT_TRUE(dag.Restore(bodies.at(pick)).ok());
+          ++restored;
+        }
+        break;
+      case 7: {
+        if (step % 2 == 0) {
+          Dag copy(dag);
+          ExpectSummariesMatchFreshFold(copy);
+          dag = std::move(copy);
+        } else {
+          Dag assigned(other_genesis);
+          assigned = dag;
+          ExpectSummariesMatchFreshFold(assigned);
+          // The copy is independent: growing it leaves the source.
+          const Block b = f.MakeBlock({known.back()}, 100'000 + step);
+          ASSERT_TRUE(assigned.Insert(b).ok());
+          ExpectSummariesMatchFreshFold(assigned);
+          ExpectSummariesMatchFreshFold(dag);
+          EXPECT_FALSE(assigned.range_digest() == dag.range_digest());
+        }
+        break;
+      }
+      case 8: {
+        Dag moved(std::move(dag));
+        ExpectSummariesMatchFreshFold(moved);
+        dag = std::move(moved);
+        break;
+      }
+      case 9: {
+        auto back = DeserializeDag(SerializeDag(dag));
+        ASSERT_TRUE(back.ok()) << back.status().message();
+        ExpectSummariesMatchFreshFold(*back);
+        ExpectSameSummaries(*back, dag);
+        dag = std::move(back).value();
+        break;
+      }
+    }
+    ExpectSummariesMatchFreshFold(dag);
+    ASSERT_EQ(dag.Size(), known.size());
+  }
+  EXPECT_GT(evicted, 0);
+  EXPECT_GT(restored, 0);
+}
+
+// Eviction and restore keep the hash set, so they keep the summaries.
+TEST(DagSetdiffSummaryTest, EvictAndRestoreLeaveSummariesAlone) {
+  Fixture f;
+  Dag dag(f.genesis);
+  const std::vector<BlockHash> inserted = f.Grow(&dag, 40, 17);
+  const Dag before(dag);
+  std::map<BlockHash, Block> bodies;
+  for (const BlockHash& h : inserted) {
+    if (h != f.genesis.hash() && dag.Evict(h).ok()) {
+      // Evict drops the body; keep it from the untouched copy.
+      bodies.emplace(h, *before.Find(h));
+    }
+  }
+  ASSERT_FALSE(bodies.empty());
+  ExpectSameSummaries(dag, before);
+  for (const auto& [h, body] : bodies) ASSERT_TRUE(dag.Restore(body).ok());
+  ExpectSameSummaries(dag, before);
+  ExpectSummariesMatchFreshFold(dag);
 }
 
 }  // namespace

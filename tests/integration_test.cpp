@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <ostream>
 
 #include "chain/audit.h"
 #include "chain/store.h"
@@ -26,6 +27,13 @@ struct ChaosCase {
   int groups;           // partition groups mid-run
   double loss;
 };
+
+// Without this gtest prints the param's raw bytes, padding after
+// `groups` included, into the ctest name, which then differs from one
+// build to the next. Kept short: "{3, 2, 0.1}".
+void PrintTo(const ChaosCase& c, std::ostream* os) {
+  *os << "{" << c.seed << ", " << c.groups << ", " << c.loss << "}";
+}
 
 class ChaosTest : public ::testing::TestWithParam<ChaosCase> {};
 

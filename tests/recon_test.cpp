@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+
 #include "crypto/drbg.h"
 #include "node/cluster.h"
 #include "node/node.h"
 #include "recon/messages.h"
 #include "recon/session.h"
+#include "serial/limits.h"
+#include "setdiff/digest.h"
+#include "setdiff/iblt.h"
 #include "sim/topology.h"
 #include "util/rng.h"
 
@@ -793,6 +799,246 @@ TEST_F(SessionHeldBodyTest, MalformedBodyAfterASkippedOneFailsTheSession) {
   EXPECT_EQ(session_.state(), SessionState::kFailed);
   EXPECT_EQ(session_.stats().blocks_received, 1u);
   EXPECT_EQ(Skipped(), 1u);
+}
+
+// ------------------------------- setdiff against fresh whole-set folds
+
+// chain::Dag keeps the range digest and the floor-size IBLT current on
+// insert, and sessions copy them. These tests check every negotiation
+// message against its twin built the way sessions built it before:
+// each table folded fresh over the whole hash set.
+
+setdiff::RangeDigest FreshDigest(const chain::Dag& dag) {
+  setdiff::RangeDigest digest;
+  for (const BlockHash* h : dag.InsertionOrder()) digest.Insert(*h);
+  return digest;
+}
+
+setdiff::Iblt FreshSketch(const chain::Dag& dag, std::size_t cells,
+                          std::uint64_t seed) {
+  setdiff::Iblt table(cells, seed);
+  for (const BlockHash* h : dag.InsertionOrder()) table.Insert(*h);
+  return table;
+}
+
+// Per message type, how many messages CheckedSetdiffSession compared.
+struct TwinChecks {
+  int probes = 0;
+  int sketches = 0;
+  int floor_sketches = 0;
+  int results = 0;
+};
+
+// Pumps one session between `a` (initiator) and `b` (responder) like
+// RunLocalSession, and compares each DiffProbe, DiffSketch and the
+// initiator's reply to a sketch with the fresh-fold twin.
+SessionState CheckedSetdiffSession(node::Node* a, node::Node* b,
+                                   const ReconConfig& cfg,
+                                   TwinChecks* checks) {
+  InitiatorSession initiator(a, cfg);
+  ResponderSession responder(b, cfg);
+  const std::size_t cap = std::min<std::size_t>(
+      cfg.max_iblt_cells, serial::limits::kMaxIbltCells);
+  DiffProbe last_probe;
+
+  std::deque<Bytes> to_responder = {initiator.Start()};
+  std::deque<Bytes> to_initiator;
+  for (int step = 0; step < 100'000; ++step) {
+    if (!to_responder.empty()) {
+      const Bytes msg = std::move(to_responder.front());
+      to_responder.pop_front();
+      if (*PeekType(msg) == MessageType::kDiffProbe) {
+        EXPECT_TRUE(DecodeMessage(msg, &last_probe).ok());
+        DiffProbe twin = last_probe;
+        twin.digest = FreshDigest(a->dag());
+        EXPECT_EQ(EncodeMessage(twin), msg) << "probe";
+        checks->probes += 1;
+      }
+      std::vector<Bytes> replies;
+      if (!responder.OnMessage(msg, &replies).ok()) break;
+      for (Bytes& r : replies) to_initiator.push_back(std::move(r));
+      continue;
+    }
+    if (to_initiator.empty()) break;
+    const Bytes msg = std::move(to_initiator.front());
+    to_initiator.pop_front();
+    std::vector<Bytes> replies;
+    if (!initiator.OnMessage(msg, &replies).ok()) break;
+    if (*PeekType(msg) == MessageType::kDiffSketch) {
+      DiffSketch sketch;
+      EXPECT_TRUE(DecodeMessage(msg, &sketch).ok());
+      // The responder's twin: sized from fresh digests unless asked.
+      DiffSketch twin = sketch;
+      auto est = setdiff::RangeDigest::EstimateDelta(FreshDigest(a->dag()),
+                                                     FreshDigest(b->dag()));
+      EXPECT_TRUE(est.ok());
+      twin.estimated_delta = *est;
+      const std::size_t cells =
+          last_probe.requested_cells > 0
+              ? std::min<std::size_t>(last_probe.requested_cells, cap)
+              : setdiff::CellsForDelta(*est, cap);
+      twin.seed = setdiff::SeedForCells(cells);
+      twin.sketch = FreshSketch(b->dag(), cells, twin.seed);
+      EXPECT_EQ(EncodeMessage(twin), msg) << "sketch of " << cells;
+      checks->sketches += 1;
+      if (cells == setdiff::kIbltFloorCells) checks->floor_sketches += 1;
+
+      // The initiator's twin reply: subtract a fresh fold and peel.
+      setdiff::Iblt diff = sketch.sketch;
+      EXPECT_TRUE(
+          diff.Subtract(FreshSketch(a->dag(), cells, sketch.seed)).ok());
+      std::vector<BlockHash> peer_only, local_only;
+      if (diff.Peel(&peer_only, &local_only) &&
+          peer_only.size() <= sketch.set_size) {
+        DiffResult result;
+        result.decoded = true;
+        result.peer_missing = local_only;
+        EXPECT_FALSE(replies.empty());
+        if (!replies.empty()) {
+          EXPECT_EQ(replies[0], EncodeMessage(result)) << "result";
+        }
+        BlockRequest req;
+        for (const BlockHash& h : peer_only) {
+          if (!a->HasBlock(h)) req.hashes.push_back(h);
+        }
+        if (!req.hashes.empty()) {
+          EXPECT_EQ(replies.size(), 2u);
+          if (replies.size() == 2) {
+            EXPECT_EQ(replies[1], EncodeMessage(req)) << "request";
+          }
+        }
+      } else {
+        // A failed peel re-probes (checked when it reaches the
+        // responder) or gives up with a decoded=false result.
+        EXPECT_FALSE(replies.empty());
+        if (!replies.empty() &&
+            *PeekType(replies[0]) == MessageType::kDiffResult) {
+          DiffResult result;
+          EXPECT_TRUE(DecodeMessage(replies[0], &result).ok());
+          EXPECT_FALSE(result.decoded);
+        }
+      }
+      checks->results += 1;
+    }
+    for (Bytes& r : replies) to_responder.push_back(std::move(r));
+  }
+  return initiator.state();
+}
+
+// Many sessions on one long-lived pair: both Dags keep folding new
+// blocks into their summaries between sessions, and every message of
+// every session matches the fresh-fold twin. Deltas of 0-5 blocks
+// (floor tables) mix with larger ones (fresh folds) and with writes
+// on both sides (push-back).
+TEST(SetdiffIncrementalTest, ConsecutiveSessionsMatchFreshFoldTwin) {
+  Cluster c;
+  auto a = c.MakeNode("owner", 1);
+  auto b = c.MakeNode("owner", 1);
+  ReconConfig cfg;
+  cfg.mode = ReconConfig::Mode::kSetDiff;
+  cfg.push_back = true;
+  Rng rng(73);
+  TwinChecks checks;
+  std::uint64_t now = 1'000'000;
+  for (int session = 0; session < 60; ++session) {
+    now += 1'000;
+    a->SetTime(now);
+    b->SetTime(now + 1);  // distinct clocks mint distinct blocks
+    const int ahead = session % 10 == 9
+                          ? 8 + static_cast<int>(rng.NextBelow(24))
+                          : static_cast<int>(rng.NextBelow(6));
+    for (int i = 0; i < ahead; ++i) ASSERT_TRUE(b->AddWitnessBlock().ok());
+    if (rng.NextBelow(4) == 0) {
+      ASSERT_TRUE(a->AddWitnessBlock().ok());
+    }
+    ASSERT_EQ(CheckedSetdiffSession(a.get(), b.get(), cfg, &checks),
+              SessionState::kDone)
+        << "session " << session;
+    ASSERT_EQ(a->Fingerprint(), b->Fingerprint()) << "session " << session;
+  }
+  EXPECT_GE(checks.probes, 60);
+  EXPECT_GE(checks.sketches, 60);
+  EXPECT_GE(checks.results, 60);
+  EXPECT_GE(checks.floor_sketches, 30);
+  EXPECT_LT(checks.floor_sketches, checks.sketches);  // fresh folds too
+}
+
+// A 16-cell sketch whose seed is not the floor table's must not be
+// subtracted from the Dag's floor table: the initiator folds fresh and
+// still decodes.
+TEST(SetdiffIncrementalTest, NonFloorSeedSketchDecodesThroughFreshFold) {
+  Cluster c;
+  auto a = c.MakeNode("owner", 1);
+  auto b = c.MakeNode("owner", 1);
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(b->AddWitnessBlock().ok());
+  ReconConfig cfg;
+  cfg.mode = ReconConfig::Mode::kSetDiff;
+  InitiatorSession initiator(a.get(), cfg);
+  (void)initiator.Start();
+
+  const std::uint64_t seed = setdiff::SeedForCells(16) + 1;
+  ASSERT_NE(seed, a->dag().floor_sketch().seed());
+  DiffSketch sketch;
+  sketch.genesis = b->dag().genesis_hash();
+  sketch.seed = seed;
+  sketch.set_size = b->dag().Size();
+  sketch.frontier = b->dag().Frontier();
+  sketch.sketch = FreshSketch(b->dag(), setdiff::kIbltFloorCells, seed);
+  std::vector<Bytes> replies;
+  ASSERT_TRUE(initiator.OnMessage(EncodeMessage(sketch), &replies).ok());
+  EXPECT_EQ(
+      a->telemetry()->metrics.CounterValue("setdiff.decode_success"), 1u);
+  ASSERT_EQ(replies.size(), 2u);  // DiffResult, BlockRequest
+  BlockRequest req;
+  ASSERT_TRUE(DecodeMessage(replies[1], &req).ok());
+  EXPECT_EQ(req.hashes.size(), 3u);
+}
+
+// A probe that asks for the floor size over a delta too large for it:
+// the 16-cell sketch fails to peel, the initiator escalates x4, and the
+// 64-cell retry (a fresh fold on both sides) decodes.
+TEST(SetdiffIncrementalTest, FloorSketchEscalatesAndDecodes) {
+  Cluster c;
+  auto a = c.MakeNode("owner", 1);
+  auto b = c.MakeNode("owner", 1);
+  for (int i = 0; i < 24; ++i) ASSERT_TRUE(b->AddWitnessBlock().ok());
+  ReconConfig cfg;
+  cfg.mode = ReconConfig::Mode::kSetDiff;
+  InitiatorSession initiator(a.get(), cfg);
+  ResponderSession responder(b.get(), cfg);
+
+  DiffProbe probe;
+  ASSERT_TRUE(DecodeMessage(initiator.Start(), &probe).ok());
+  probe.requested_cells = setdiff::kIbltFloorCells;
+  std::vector<Bytes> first_sketch;
+  ASSERT_TRUE(responder.OnMessage(EncodeMessage(probe), &first_sketch).ok());
+  ASSERT_EQ(first_sketch.size(), 1u);
+  std::vector<Bytes> reprobe;
+  ASSERT_TRUE(initiator.OnMessage(first_sketch[0], &reprobe).ok());
+  ASSERT_EQ(reprobe.size(), 1u);
+  DiffProbe escalated;
+  ASSERT_TRUE(DecodeMessage(reprobe[0], &escalated).ok());
+  EXPECT_EQ(escalated.requested_cells, 4 * setdiff::kIbltFloorCells);
+
+  std::vector<Bytes> second_sketch;
+  ASSERT_TRUE(responder.OnMessage(reprobe[0], &second_sketch).ok());
+  ASSERT_EQ(second_sketch.size(), 1u);
+  DiffSketch sketch;
+  ASSERT_TRUE(DecodeMessage(second_sketch[0], &sketch).ok());
+  EXPECT_EQ(sketch.sketch.cell_count(), 4 * setdiff::kIbltFloorCells);
+  EXPECT_EQ(sketch.sketch.cells(),
+            FreshSketch(b->dag(), sketch.sketch.cell_count(), sketch.seed)
+                .cells());
+  std::vector<Bytes> reply;
+  ASSERT_TRUE(initiator.OnMessage(second_sketch[0], &reply).ok());
+  const auto& metrics = a->telemetry()->metrics;
+  EXPECT_EQ(metrics.CounterValue("setdiff.decode_failure"), 1u);
+  EXPECT_EQ(metrics.CounterValue("setdiff.escalations"), 1u);
+  EXPECT_EQ(metrics.CounterValue("setdiff.decode_success"), 1u);
+  ASSERT_EQ(reply.size(), 2u);  // DiffResult, BlockRequest
+  BlockRequest req;
+  ASSERT_TRUE(DecodeMessage(reply[1], &req).ok());
+  EXPECT_EQ(req.hashes.size(), 24u);
 }
 
 }  // namespace
